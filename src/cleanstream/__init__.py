@@ -7,7 +7,6 @@ and a slimmed single-model mode. Baselines (take-everything, omniscient
 selection, fully clean labels) bracket what selection can achieve.
 """
 
-from .baselines import BASELINE_KINDS, BaselineState
 from .core import (
     Batch,
     CsvFormatError,
@@ -21,6 +20,7 @@ from .core import (
     split_stream,
 )
 from .frameworks import (
+    BASELINE_KINDS,
     VARIANTS,
     CleanseResult,
     FrameworkState,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASELINE_KINDS",
-    "BaselineState",
     "Batch",
     "BatchReport",
     "ClassifierSpec",

@@ -1,5 +1,7 @@
 """Reference baselines that bracket the selection frameworks.
 
+Each baseline is a selection rule over the same state the variants use, set
+up by :func:`cleanstream.frameworks.initialize` without a label model.
 ``no_sel`` trains on everything as delivered (lower anchor), ``opt_sel``
 trains only on the truly clean part of each batch (what a perfect selector
 would keep), and ``full_clean`` trains on everything with labels reset to
@@ -9,100 +11,37 @@ for simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .core import Batch, LabeledInstance
+from .frameworks import FrameworkState, _report
 from .metrics import BatchReport
-from .models import ClassifierModel, ClassifierSpec
 from .models import train as train_model
 
-BASELINE_KINDS = ("no_sel", "opt_sel", "full_clean")
 
-
-@dataclass
-class BaselineState:
-    kind: str
-    classifier: ClassifierModel
-    classifier_spec: ClassifierSpec
-    pool: list[LabeledInstance]
-    rng: np.random.Generator
-    pool_size_at_last_train: int = 0
-
-
-def initialize(
-    kind: str,
-    initial_batch: Batch,
-    classifier_spec: ClassifierSpec,
-    rng: np.random.Generator,
-) -> BaselineState:
-    """Same kick-start as the frameworks: train on the truly clean part of D0."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    clean = [inst for inst in initial_batch.instances if inst.is_clean]
-    if not clean:
-        raise ValueError("initial batch has no clean instances; cannot initialize")
-    state = BaselineState(
-        kind=kind,
-        classifier=train_model(classifier_spec, clean, rng),
-        classifier_spec=classifier_spec,
-        pool=list(clean),
-        rng=rng,
-    )
-    state.pool_size_at_last_train = len(state.pool)
-    return state
-
-
-def _retrain_if_pool_grew(state: BaselineState) -> bool:
-    if len(state.pool) == state.pool_size_at_last_train:
-        return False
-    state.classifier = train_model(state.classifier_spec, state.pool, state.rng)
-    state.pool_size_at_last_train = len(state.pool)
-    return True
-
-
-def _report(batch: Batch, selected: list[LabeledInstance]) -> BatchReport:
-    return BatchReport(
-        batch_index=batch.index,
-        drawn_noise_level=batch.drawn_noise_level,
-        selected_count=len(selected),
-        selected_true_clean_count=sum(1 for inst in selected if inst.is_clean),
-        oracle_queries=0,
-        inactive_total=0,
-    )
-
-
-def no_sel_step(state: BaselineState, batch: Batch) -> tuple[BaselineState, BatchReport]:
+def no_sel(batch: Batch) -> list[LabeledInstance]:
     """Take the whole batch, noisy labels and all."""
-    state.pool.extend(batch.instances)
-    _retrain_if_pool_grew(state)
-    return state, _report(batch, batch.instances)
+    return batch.instances
 
 
-def opt_sel_step(state: BaselineState, batch: Batch) -> tuple[BaselineState, BatchReport]:
+def opt_sel(batch: Batch) -> list[LabeledInstance]:
     """Omniscient selection: keep exactly the truly clean instances."""
-    clean = [inst for inst in batch.instances if inst.is_clean]
-    state.pool.extend(clean)
-    _retrain_if_pool_grew(state)
-    return state, _report(batch, clean)
+    return [inst for inst in batch.instances if inst.is_clean]
 
 
-def full_clean_step(
-    state: BaselineState, batch: Batch
-) -> tuple[BaselineState, BatchReport]:
+def full_clean(batch: Batch) -> list[LabeledInstance]:
     """Noise-free upper bound: take everything with labels reset to truth."""
     for inst in batch.instances:
         inst.given_label = inst.true_label
-    state.pool.extend(batch.instances)
-    _retrain_if_pool_grew(state)
-    return state, _report(batch, batch.instances)
+    return batch.instances
 
 
-def step(state: BaselineState, batch: Batch) -> tuple[BaselineState, BatchReport]:
-    """Dispatch one arrival to the state's baseline kind."""
-    if state.kind == "no_sel":
-        return no_sel_step(state, batch)
-    if state.kind == "opt_sel":
-        return opt_sel_step(state, batch)
-    return full_clean_step(state, batch)
+SELECTION_RULES = {"no_sel": no_sel, "opt_sel": opt_sel, "full_clean": full_clean}
+
+
+def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
+    """Apply the state's selection rule to one arrival, then retrain if the pool grew."""
+    selected = SELECTION_RULES[state.variant](batch)
+    state.clean_pool.extend(selected)
+    if len(state.clean_pool) != state.pool_size_at_last_train:
+        state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
+        state.pool_size_at_last_train = len(state.clean_pool)
+    return state, _report(state, batch, selected)

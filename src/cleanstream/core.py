@@ -87,8 +87,9 @@ def load_csv(path, num_classes: int) -> Dataset:
     """Read a dataset CSV (header ``f0,...,f{n-1},label``) as clean ground truth.
 
     Every row becomes an instance with ``true_label = given_label`` and
-    ``is_clean`` true; noise is injected later, downstream. Non-numeric cells
-    raise :class:`CsvFormatError` naming the offending line; wrong column
+    ``is_clean`` true; noise is injected later, downstream. Non-numeric and
+    non-finite (``nan``, ``inf``) feature cells and non-integer labels raise
+    :class:`CsvFormatError` naming the offending line; wrong column
     counts and out-of-range labels raise :class:`ValueError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -124,6 +125,8 @@ def load_csv(path, num_classes: int) -> Dataset:
                 raise CsvFormatError(
                     f"{path}: line {lineno}: non-numeric feature cell"
                 ) from None
+            if not np.isfinite(features).all():
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite feature cell")
             try:
                 label = int(cells[-1])
             except ValueError:

@@ -7,6 +7,9 @@ reconsideration; ``active`` escalates disagreements to an oracle (optionally
 budgeted); ``slimmed`` drops the label model entirely and retrains on a
 sliding window instead of the full pool.
 
+The three baselines in :mod:`cleanstream.baselines` run on the same state:
+they are selection rules with no label model.
+
 All step functions mutate the passed state in place and return it together
 with a per-batch report.
 """
@@ -31,7 +34,10 @@ from .models import (
 from .models import train as train_model
 
 VARIANTS = ("rad", "voting", "active", "slimmed")
+BASELINE_KINDS = ("no_sel", "opt_sel", "full_clean")
+ALL_VARIANTS = VARIANTS + BASELINE_KINDS
 ORACLE_VARIANTS = ("active", "slimmed")
+LABEL_MODEL_VARIANTS = ("rad", "voting", "active")
 
 
 class Oracle:
@@ -91,7 +97,7 @@ class CleanseResult:
 
 @dataclass
 class FrameworkState:
-    """Mutable per-run state shared by all framework variants."""
+    """Mutable per-run state shared by all variants and baselines."""
 
     variant: str
     classifier: ClassifierModel
@@ -102,7 +108,6 @@ class FrameworkState:
     label_spec: ClassifierSpec | None = None
     inactive: list[list[LabeledInstance]] = field(default_factory=list)
     prev_oracle_batch: list[LabeledInstance] = field(default_factory=list)
-    prev2_oracle_batch: list[LabeledInstance] = field(default_factory=list)
     oracle_queries_total: int = 0
     last_training_window: list[LabeledInstance] | None = None
     pool_size_at_last_train: int = 0
@@ -121,15 +126,19 @@ def initialize(
 ) -> FrameworkState:
     """Seed the pool and models from the truly clean part of the first batch.
 
-    The first batch is assumed mostly trustworthy; only its genuinely clean
-    instances are used, and a batch with none is an error because nothing
-    could be learned safely.
+    Serves every variant and baseline; only the variants in
+    ``LABEL_MODEL_VARIANTS`` train a label model. The first batch is assumed
+    mostly trustworthy; only its genuinely clean instances are used, and a
+    batch with none is an error because nothing could be learned safely.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in ALL_VARIANTS:
+        raise ValueError(f"variant must be one of {ALL_VARIANTS}, got {variant!r}")
     clean = [inst for inst in initial_batch.instances if inst.is_clean]
     if not clean:
-        raise ValueError("initial batch has no clean instances; cannot initialize")
+        raise ValueError(
+            "initial batch has no clean instances; cannot initialize "
+            "(set initial.clean = true to deliver it without noise)"
+        )
     state = FrameworkState(
         variant=variant,
         classifier=train_model(classifier_spec, clean, rng),
@@ -137,7 +146,7 @@ def initialize(
         clean_pool=list(clean),
         rng=rng,
     )
-    if variant != "slimmed":
+    if variant in LABEL_MODEL_VARIANTS:
         if label_spec is None:
             raise ValueError(f"variant {variant!r} needs a label-model spec")
         state.label_spec = label_spec
@@ -188,10 +197,6 @@ def voting_filter(
     return accepted, rejected
 
 
-def _count_clean(instances: list[LabeledInstance]) -> int:
-    return sum(1 for inst in instances if inst.is_clean)
-
-
 def _retrain_if_pool_grew(state: FrameworkState) -> bool:
     """Retrain both models on the pool, unless nothing was added since last time."""
     if len(state.clean_pool) == state.pool_size_at_last_train:
@@ -213,7 +218,7 @@ def _report(
         batch_index=batch.index,
         drawn_noise_level=batch.drawn_noise_level,
         selected_count=len(selected),
-        selected_true_clean_count=_count_clean(selected),
+        selected_true_clean_count=sum(1 for inst in selected if inst.is_clean),
         oracle_queries=oracle_queries,
         inactive_total=state.inactive_total,
     )
@@ -351,7 +356,6 @@ def slimmed_step(
     selected = agreed + queried
     state.clean_pool.extend(selected)
     state.pool_size_at_last_train = len(state.clean_pool)
-    state.prev2_oracle_batch = state.prev_oracle_batch
     state.prev_oracle_batch = list(queried)
     return state, _report(state, batch, selected, oracle_queries=len(queried))
 

@@ -16,15 +16,14 @@ Reruns with identical inputs rewrite byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, frameworks
-from .baselines import BASELINE_KINDS, BaselineState
 from .core import (
-    Batch,
     Dataset,
     LabeledInstance,
     StreamConfig,
@@ -34,7 +33,13 @@ from .core import (
     scale_features,
     split_stream,
 )
-from .frameworks import VARIANTS, FrameworkState, GroundTruthOracle, OracleBudget
+from .frameworks import (
+    ALL_VARIANTS,
+    BASELINE_KINDS,
+    FrameworkState,
+    GroundTruthOracle,
+    OracleBudget,
+)
 from .metrics import (
     RunResult,
     RunSummary,
@@ -46,8 +51,6 @@ from .metrics import (
 )
 from .models import ClassifierSpec, evaluate_accuracy
 from .noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
-
-ALL_VARIANTS = VARIANTS + BASELINE_KINDS
 
 
 class ConfigError(ValueError):
@@ -77,59 +80,84 @@ class ExperimentConfig:
     classifier_spec: ClassifierSpec
     label_spec: ClassifierSpec | None
     budget: OracleBudget
-    dataset_source: str = "synthetic"
-    dataset_path: str | None = None
-    separation: float = 3.0
-    scale: bool = False
-    initial_clean: bool = False
-    repetitions: int = 1
-    output_dir: str | None = None
+    dataset_source: str
+    dataset_path: str | None
+    separation: float
+    scale: bool
+    initial_clean: bool
+    repetitions: int
+    output_dir: str | None
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
-KNOWN_KEYS = frozenset(
-    [
-        "dataset.source",
-        "dataset.path",
-        "dataset.separation",
-        "dataset.scale",
-        "initial.clean",
-        "stream.num_classes",
-        "stream.num_features",
-        "stream.initial_batch_size",
-        "stream.batch_size",
-        "stream.num_batches",
-        "stream.test_size",
-        "stream.seed",
-        "stream.stratify",
-        "noise.mean",
-        "noise.std_mode",
-        "noise.std",
-        "noise.seed",
-        "framework.variant",
-        "oracle.limit_mode",
-        "oracle.fraction",
-        "run.repetitions",
-        "run.output_dir",
-        "matrix.variants",
-        "matrix.noise_levels",
-    ]
-    + [
-        f"{role}.{option}"
-        for role in ("label_model", "classifier")
-        for option in (
-            "kind",
-            "knn_k",
-            "mlp_hidden",
-            "mlp_epochs",
-            "mlp_learning_rate",
-            "mlp_batch_size",
-            "seed",
-        )
-    ]
-)
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError
+
+
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _split_list(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+# What each parser that can fail expects, for error messages.
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _bool: "true/false",
+    _int_tuple: "comma-separated integers",
+}
+
+_MODEL_OPTIONS = {
+    "knn_k": (int, 5),
+    "mlp_hidden": (_int_tuple, (28, 28)),
+    "mlp_epochs": (int, 50),
+    "mlp_learning_rate": (float, 0.01),
+    "mlp_batch_size": (int, 32),
+}
+
+# Every settable key, mapped to (parser, default). Each section whose option
+# names match a dataclass's fields is built from that section alone.
+CONFIG_KEYS = {
+    "dataset.source": (str, "synthetic"),
+    "dataset.path": (str, None),
+    "dataset.separation": (float, 3.0),
+    "dataset.scale": (_bool, False),
+    "initial.clean": (_bool, False),
+    "stream.num_classes": (int, 4),
+    "stream.num_features": (int, 20),
+    "stream.initial_batch_size": (int, 1000),
+    "stream.batch_size": (int, 300),
+    "stream.num_batches": (int, 20),
+    "stream.test_size": (int, 2000),
+    "stream.seed": (int, 0),
+    "stream.stratify": (_bool, False),
+    "noise.mean": (float, 0.3),
+    "noise.std_mode": (str, "relative"),
+    "noise.std": (float, 0.2),
+    "noise.seed": (int, 0),
+    "framework.variant": (str, "rad"),
+    "label_model.kind": (str, "mlp"),
+    **{f"label_model.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
+    "classifier.kind": (str, "knn"),
+    **{f"classifier.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
+    "classifier.seed": (int, 0),
+    "oracle.limit_mode": (str, "unlimited"),
+    "oracle.fraction": (float, 1.0),
+    "run.repetitions": (int, 1),
+    "run.output_dir": (str, None),
+    "matrix.variants": (_split_list, ()),
+    "matrix.noise_levels": (_split_list, ()),
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -159,152 +187,90 @@ def apply_overrides(mapping: dict[str, str], overrides: dict[str, str]) -> dict[
     return merged
 
 
-def _get(mapping, key, default):
-    return mapping.get(key, default)
+def _typed_values(mapping: dict[str, str]) -> dict:
+    """Every key's typed value, parsed from the mapping or else its default."""
+    unknown = sorted(set(mapping) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, (parser, default) in CONFIG_KEYS.items():
+        raw = mapping.get(key)
+        try:
+            values[key] = default if raw is None else parser(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {_EXPECTED[parser]}, got {raw!r}") from None
+    return values
 
 
-def _as_int(mapping, key, default):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
+def _build(cls, values: dict, section: str, **fields):
+    """Build ``cls`` from the options under ``section.`` plus ``fields``.
+
+    A value the class rejects is reported with the section's name.
+    """
+    for key, value in values.items():
+        name, _, option = key.partition(".")
+        if name == section:
+            fields[option] = value
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _as_float(mapping, key, default):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _as_bool(mapping, key, default):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-
-
-def _as_int_tuple(mapping, key, default):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from None
-
-
-def _classifier_spec(mapping: dict[str, str], role: str, num_classes: int) -> ClassifierSpec:
-    default_kind = "mlp" if role == "label_model" else "knn"
-    try:
-        return ClassifierSpec(
-            kind=_get(mapping, f"{role}.kind", default_kind),
-            num_classes=num_classes,
-            knn_k=_as_int(mapping, f"{role}.knn_k", 5),
-            mlp_hidden=_as_int_tuple(mapping, f"{role}.mlp_hidden", (28, 28)),
-            mlp_epochs=_as_int(mapping, f"{role}.mlp_epochs", 50),
-            mlp_learning_rate=_as_float(mapping, f"{role}.mlp_learning_rate", 0.01),
-            mlp_batch_size=_as_int(mapping, f"{role}.mlp_batch_size", 32),
-            seed=_as_int(mapping, f"{role}.seed", 0),
-        )
+        return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{role}: {exc}") from None
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a typed experiment config, rejecting unknown keys early."""
-    unknown = sorted(set(mapping) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    try:
-        stream = StreamConfig(
-            num_classes=_as_int(mapping, "stream.num_classes", 4),
-            num_features=_as_int(mapping, "stream.num_features", 20),
-            initial_batch_size=_as_int(mapping, "stream.initial_batch_size", 1000),
-            batch_size=_as_int(mapping, "stream.batch_size", 300),
-            num_batches=_as_int(mapping, "stream.num_batches", 20),
-            test_size=_as_int(mapping, "stream.test_size", 2000),
-            seed=_as_int(mapping, "stream.seed", 0),
-            stratify=_as_bool(mapping, "stream.stratify", False),
-        )
-        noise = NoiseSpec(
-            mean_level=_as_float(mapping, "noise.mean", 0.3),
-            std_dev_mode=_get(mapping, "noise.std_mode", "relative"),
-            std_dev=_as_float(mapping, "noise.std", 0.2),
-            seed=_as_int(mapping, "noise.seed", 0),
-        )
-        budget = OracleBudget(
-            limit_mode=_get(mapping, "oracle.limit_mode", "unlimited"),
-            fraction=_as_float(mapping, "oracle.fraction", 1.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    variant = _get(mapping, "framework.variant", "rad")
+    values = _typed_values(mapping)
+    variant = values["framework.variant"]
     if variant not in ALL_VARIANTS:
         raise ConfigError(
             f"framework.variant: expected one of {', '.join(ALL_VARIANTS)}, "
             f"got {variant!r}"
         )
-    source = _get(mapping, "dataset.source", "synthetic")
+    source = values["dataset.source"]
     if source not in ("synthetic", "csv"):
         raise ConfigError(f"dataset.source: expected synthetic or csv, got {source!r}")
-    path = mapping.get("dataset.path")
-    if source == "csv" and not path:
+    if source == "csv" and not values["dataset.path"]:
         raise ConfigError("dataset.path is required when dataset.source = csv")
+    if values["run.repetitions"] < 1:
+        raise ConfigError(f"run.repetitions must be >= 1, got {values['run.repetitions']}")
 
-    repetitions = _as_int(mapping, "run.repetitions", 1)
-    if repetitions < 1:
-        raise ConfigError(f"run.repetitions must be >= 1, got {repetitions}")
-
+    stream = _build(StreamConfig, values, "stream")
+    try:
+        noise = NoiseSpec(
+            mean_level=values["noise.mean"],
+            std_dev_mode=values["noise.std_mode"],
+            std_dev=values["noise.std"],
+            seed=values["noise.seed"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from None
+    k = stream.num_classes
     return ExperimentConfig(
         stream=stream,
         noise=noise,
         variant=variant,
-        classifier_spec=_classifier_spec(mapping, "classifier", stream.num_classes),
-        label_spec=_classifier_spec(mapping, "label_model", stream.num_classes),
-        budget=budget,
+        classifier_spec=_build(ClassifierSpec, values, "classifier", num_classes=k),
+        label_spec=_build(ClassifierSpec, values, "label_model", num_classes=k),
+        budget=_build(OracleBudget, values, "oracle"),
         dataset_source=source,
-        dataset_path=path,
-        separation=_as_float(mapping, "dataset.separation", 3.0),
-        scale=_as_bool(mapping, "dataset.scale", False),
-        initial_clean=_as_bool(mapping, "initial.clean", False),
-        repetitions=repetitions,
-        output_dir=mapping.get("run.output_dir"),
+        dataset_path=values["dataset.path"],
+        separation=values["dataset.separation"],
+        scale=values["dataset.scale"],
+        initial_clean=values["initial.clean"],
+        repetitions=values["run.repetitions"],
+        output_dir=values["run.output_dir"],
     )
-
-
-def _split_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
     """One config per (variant, noise level) pair named by the matrix keys."""
-    base = dict(mapping)
-    variants = _split_list(base.pop("matrix.variants", "")) or [
-        _get(mapping, "framework.variant", "rad")
-    ]
-    noise_levels = _split_list(base.pop("matrix.noise_levels", "")) or [
-        _get(mapping, "noise.mean", "0.3")
-    ]
+    values = _typed_values(mapping)
+    variants = values["matrix.variants"] or [values["framework.variant"]]
+    noise_levels = values["matrix.noise_levels"] or [str(values["noise.mean"])]
     configs = []
     for noise_level in noise_levels:
         for variant in variants:
-            cell = dict(base)
+            cell = dict(mapping)
             cell["framework.variant"] = variant
             cell["noise.mean"] = noise_level
             configs.append(config_from_mapping(cell))
@@ -320,28 +286,9 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     return generate_synthetic(config.stream, separation=config.separation)
 
 
-def _initialize_state(config: ExperimentConfig, initial: Batch, rng):
-    if config.variant in BASELINE_KINDS:
-        return baselines.initialize(config.variant, initial, config.classifier_spec, rng)
-    return frameworks.initialize(
-        config.variant, initial, config.label_spec, config.classifier_spec, rng
-    )
-
-
-def _training_instances(state) -> list[LabeledInstance]:
-    if isinstance(state, BaselineState):
-        return list(state.pool)
-    out = list(state.clean_pool)
-    for group in state.inactive:
-        out.extend(group)
-    out.extend(state.prev_oracle_batch)
-    out.extend(state.prev2_oracle_batch)
-    return out
-
-
-def _audit_test_purity(state, test: list[LabeledInstance]) -> None:
+def _audit_test_purity(state: FrameworkState, test: list[LabeledInstance]) -> None:
     test_ids = {id(inst) for inst in test}
-    for inst in _training_instances(state):
+    for inst in itertools.chain(state.clean_pool, *state.inactive):
         if id(inst) in test_ids:
             raise RuntimeError("a test instance leaked into a training pool")
 
@@ -369,7 +316,9 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
 
         stage = "initialize"
         train_rng = np.random.default_rng(config.classifier_spec.seed ^ repetition)
-        state = _initialize_state(config, initial, train_rng)
+        state = frameworks.initialize(
+            config.variant, initial, config.label_spec, config.classifier_spec, train_rng
+        )
         oracle = GroundTruthOracle()
 
         stage = "evaluate"
@@ -382,7 +331,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
             level = draw_batch_noise_level(config.noise, noise_rng)
             inject_symmetric_noise(batch, level, config.stream.num_classes, noise_rng)
             stage = "step"
-            if isinstance(state, BaselineState):
+            if config.variant in BASELINE_KINDS:
                 state, report = baselines.step(state, batch)
             else:
                 state, report = frameworks.step(state, batch, oracle, config.budget)
@@ -401,7 +350,6 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
     except Exception as exc:
         raise RepetitionError(repetition, batch_index, stage, exc) from exc
 
-    oracle_queries = getattr(state, "oracle_queries_total", 0)
     return RunResult(
         variant=config.variant,
         noise_mean=config.noise.mean_level,
@@ -409,7 +357,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         seed=config.stream.seed ^ repetition,
         initial_accuracy=initial_accuracy,
         reports=reports,
-        oracle_queries_total=oracle_queries,
+        oracle_queries_total=state.oracle_queries_total,
     )
 
 
@@ -506,11 +454,17 @@ COMPARISON_COLUMNS = (
 )
 
 
+def _by_noise(summaries: list[RunSummary]) -> dict[float, dict[str, RunSummary]]:
+    """Summaries grouped by noise level, then keyed by variant."""
+    groups: dict[float, dict[str, RunSummary]] = {}
+    for s in summaries:
+        groups.setdefault(s.noise_mean, {})[s.variant] = s
+    return groups
+
+
 def comparison_lines(summaries: list[RunSummary]) -> list[str]:
     """Fixed-width table relating every variant to the baselines at its noise."""
-    by_noise: dict[float, dict[str, RunSummary]] = {}
-    for s in summaries:
-        by_noise.setdefault(s.noise_mean, {})[s.variant] = s
+    by_noise = _by_noise(summaries)
 
     def cell(value) -> str:
         return "NA" if value is None else f"{value:.4f}"
@@ -555,9 +509,7 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
             outcomes.append(ExperimentOutcome(config, [], None, [exc]))
 
     summaries = [o.summary for o in outcomes if o.summary is not None]
-    by_noise: dict[float, dict[str, RunSummary]] = {}
-    for s in summaries:
-        by_noise.setdefault(s.noise_mean, {})[s.variant] = s
+    by_noise = _by_noise(summaries)
     for s in summaries:
         anchors = by_noise[s.noise_mean]
         if "no_sel" in anchors and "full_clean" in anchors:

@@ -636,7 +636,7 @@ def test_c10_full_scale_real_dataset():
         if variant == "rad":
             state = frameworks.initialize("rad", initial, label_spec, classifier_spec, train_rng)
         else:
-            state = baselines.initialize("no_sel", initial, classifier_spec, train_rng)
+            state = frameworks.initialize("no_sel", initial, None, classifier_spec, train_rng)
 
         index = 1
         for start in range(initial_size, len(instances), batch_size):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cleanstream import baselines
+from cleanstream import baselines, frameworks
 from cleanstream.core import Batch, LabeledInstance, StreamConfig, generate_synthetic, split_stream
 from cleanstream.harness import config_from_mapping, run_single
 from cleanstream.models import ClassifierSpec
@@ -41,52 +41,52 @@ def noisy_stream(noise=0.5, num_batches=4):
     return initial, arrivals, test
 
 
+def initialize(kind, batch):
+    return frameworks.initialize(kind, batch, None, SPEC, np.random.default_rng(0))
+
+
 def test_initialize_uses_only_truly_clean_part():
     batch = Batch(index=0, instances=[make_inst(0, 0), make_inst(1, 1, true=0), make_inst(2, 2)])
-    state = baselines.initialize("no_sel", batch, SPEC, np.random.default_rng(0))
-    assert sorted(i.uid for i in state.pool) == [0, 2]
+    state = initialize("no_sel", batch)
+    assert sorted(i.uid for i in state.clean_pool) == [0, 2]
+    assert state.label_model is None
     with pytest.raises(ValueError, match="no clean"):
-        baselines.initialize(
-            "no_sel",
-            Batch(index=0, instances=[make_inst(0, 1, true=0)]),
-            SPEC,
-            np.random.default_rng(0),
-        )
-    with pytest.raises(ValueError, match="kind"):
-        baselines.initialize("all_sel", batch, SPEC, np.random.default_rng(0))
+        initialize("no_sel", Batch(index=0, instances=[make_inst(0, 1, true=0)]))
+    with pytest.raises(ValueError, match="variant"):
+        initialize("all_sel", batch)
 
 
 def test_no_sel_takes_every_instance():
     initial, arrivals, _ = noisy_stream()
-    state = baselines.initialize("no_sel", initial, SPEC, np.random.default_rng(0))
-    pool_sizes = [len(state.pool)]
+    state = initialize("no_sel", initial)
+    pool_sizes = [len(state.clean_pool)]
     for batch in arrivals:
         state, report = baselines.step(state, batch)
-        pool_sizes.append(len(state.pool))
+        pool_sizes.append(len(state.clean_pool))
         assert report.selected_count == len(batch.instances)
         assert report.selected_true_clean_count == sum(
             1 for i in batch.instances if i.is_clean
         )
-    assert pool_sizes == [len(state.pool) - 12 * i for i in range(len(arrivals), -1, -1)]
+    assert pool_sizes == [len(state.clean_pool) - 12 * i for i in range(len(arrivals), -1, -1)]
 
 
 def test_opt_sel_keeps_exactly_the_truly_clean():
     initial, arrivals, _ = noisy_stream()
-    state = baselines.initialize("opt_sel", initial, SPEC, np.random.default_rng(0))
+    state = initialize("opt_sel", initial)
     for batch in arrivals:
         clean_uids = {i.uid for i in batch.instances if i.is_clean}
         state, report = baselines.step(state, batch)
         assert report.selected_count == len(clean_uids)
         assert report.selected_true_clean_count == report.selected_count
-        assert clean_uids <= {i.uid for i in state.pool}
+        assert clean_uids <= {i.uid for i in state.clean_pool}
         dirty_uids = {i.uid for i in batch.instances} - clean_uids
-        assert not dirty_uids & {i.uid for i in state.pool}
-    assert all(i.is_clean for i in state.pool)
+        assert not dirty_uids & {i.uid for i in state.clean_pool}
+    assert all(i.is_clean for i in state.clean_pool)
 
 
 def test_full_clean_resets_labels_to_truth():
     initial, arrivals, _ = noisy_stream()
-    state = baselines.initialize("full_clean", initial, SPEC, np.random.default_rng(0))
+    state = initialize("full_clean", initial)
     for batch in arrivals:
         had_noise = any(not i.is_clean for i in batch.instances)
         state, report = baselines.step(state, batch)
@@ -94,7 +94,7 @@ def test_full_clean_resets_labels_to_truth():
         assert report.selected_count == len(batch.instances)
         assert report.selected_true_clean_count == len(batch.instances)
         assert had_noise  # sanity: the stream actually was noisy
-    assert all(i.is_clean for i in state.pool)
+    assert all(i.is_clean for i in state.clean_pool)
 
 
 def test_baselines_coincide_on_a_noise_free_stream():
@@ -127,7 +127,7 @@ def test_baselines_coincide_on_a_noise_free_stream():
 
 def test_retrain_skipped_when_nothing_selected():
     initial, _, _ = noisy_stream(num_batches=1)
-    state = baselines.initialize("opt_sel", initial, SPEC, np.random.default_rng(0))
+    state = initialize("opt_sel", initial)
     model_before = state.classifier
     all_dirty = Batch(index=1, instances=[make_inst(100 + i, 1, true=0) for i in range(5)])
     state, report = baselines.step(state, all_dirty)

@@ -107,6 +107,14 @@ def test_load_names_line_of_bad_cell(tmp_path):
         load_csv(path, 2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_rejects_non_finite_feature_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{cell},1\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="line 3: non-finite"):
+        load_csv(path, 2)
+
+
 def test_load_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n", encoding="utf-8")

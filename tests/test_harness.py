@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cleanstream.harness as harness
 from cleanstream.cli import main as cli_main
 from cleanstream.core import load_csv
+from cleanstream.frameworks import ALL_VARIANTS
 from cleanstream.harness import (
+    CONFIG_KEYS,
     ConfigError,
     RepetitionError,
     apply_overrides,
@@ -103,6 +108,21 @@ def test_mlp_hidden_parses_comma_separated_widths():
     assert config.label_spec.mlp_hidden == (12, 7)
 
 
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        key_cell, _, meaning = row.strip("|").split("|")
+        for key in re.findall(r"`([^`]+)`", key_cell):
+            if key.endswith(".*"):
+                options = re.findall(r"`(\w+)` \(", meaning)
+                documented.update(key[:-1] + option for option in options)
+            else:
+                documented.add(key)
+    assert documented == set(CONFIG_KEYS)
+
+
 def test_overrides_layer_on_top():
     merged = apply_overrides(small_mapping(), {"noise.mean": "0.9"})
     assert merged["noise.mean"] == "0.9"
@@ -143,8 +163,9 @@ def test_initial_batch_noise_can_be_disabled():
         "noise.std": "0.0",
         "framework.variant": "no_sel",
     })
-    with pytest.raises(RepetitionError, match="initialize"):
+    with pytest.raises(RepetitionError, match="initialize") as err:
         run_single(config_from_mapping(mapping), 0)
+    assert "no clean" in str(err.value) and "initial.clean = true" in str(err.value)
     mapping["initial.clean"] = "true"
     result = run_single(config_from_mapping(mapping), 0)
     assert len(result.reports) == 3
@@ -177,6 +198,41 @@ def test_csv_dataset_source_round_trip(tmp_path):
     mapping = small_mapping(**{"dataset.source": "csv", "dataset.path": str(path)})
     result = run_single(config_from_mapping(mapping), 0)
     assert len(result.reports) == 3
+
+
+EDGE_CASES = {
+    "batch_of_one": {"stream.batch_size": "1"},
+    "two_classes": {"stream.num_classes": "2"},
+    "knn_k_beyond_pool": {
+        "classifier.knn_k": "500",
+        "label_model.kind": "knn",
+        "label_model.knn_k": "500",
+    },
+    "zero_oracle_budget": {"oracle.limit_mode": "per_batch_fraction", "oracle.fraction": "0"},
+    "all_noise_arrivals": {
+        "noise.mean": "1.0",
+        "noise.std_mode": "absolute",
+        "noise.std": "0.0",
+        "initial.clean": "true",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_stream_edge_cases_keep_run_invariants(variant, case):
+    mapping = small_mapping(**EDGE_CASES[case])
+    mapping["framework.variant"] = variant
+    config = config_from_mapping(mapping)
+    result = run_single(config, 0)
+    batch_size = config.stream.batch_size
+    cap = config.budget.max_queries(batch_size)
+    assert len(result.reports) == config.stream.num_batches
+    for r in result.reports:
+        assert 0 <= r.selected_count <= batch_size
+        assert r.cumulative_A >= r.cumulative_A_truth
+        assert r.oracle_queries <= (batch_size if cap is None else cap)
+    assert result.oracle_queries_total == sum(r.oracle_queries for r in result.reports)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +343,14 @@ def test_failed_repetition_does_not_stop_the_rest(monkeypatch):
 
 
 def test_purity_audit_catches_a_leak():
-    from cleanstream.baselines import BaselineState
     from cleanstream.core import LabeledInstance
+    from cleanstream.frameworks import FrameworkState
 
     leaked = LabeledInstance(features=np.zeros(2), given_label=0, true_label=0)
-    state = BaselineState.__new__(BaselineState)
-    state.pool = [leaked]
-    with pytest.raises(RuntimeError, match="leak"):
-        harness._audit_test_purity(state, [leaked])
+    for pool, inactive in (([leaked], []), ([], [[leaked]])):
+        state = FrameworkState("no_sel", None, None, pool, None, inactive=inactive)
+        with pytest.raises(RuntimeError, match="leak"):
+            harness._audit_test_purity(state, [leaked])
 
 
 # ---------------------------------------------------------------------------
