@@ -49,7 +49,7 @@ from .metrics import (
     attach_improvements,
     write_reports_csv,
 )
-from .models import ClassifierSpec, evaluate_accuracy
+from .models import ClassifierSpec, evaluate_accuracy, stack_test_set
 from .noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
 
 
@@ -322,7 +322,8 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         oracle = GroundTruthOracle()
 
         stage = "evaluate"
-        initial_accuracy = evaluate_accuracy(state.classifier, test)
+        stacked_test = stack_test_set(test)
+        initial_accuracy = evaluate_accuracy(state.classifier, stacked_test)
 
         reports = []
         for batch in arrivals:
@@ -336,7 +337,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
             else:
                 state, report = frameworks.step(state, batch, oracle, config.budget)
             stage = "evaluate"
-            report.test_accuracy = evaluate_accuracy(state.classifier, test)
+            report.test_accuracy = evaluate_accuracy(state.classifier, stacked_test)
             reports.append(report)
             report.cumulative_A = active_fraction(reports, config.stream.batch_size)
             report.cumulative_A_truth = active_truth_fraction(

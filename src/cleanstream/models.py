@@ -56,13 +56,27 @@ def given_labels(instances: list[LabeledInstance]) -> np.ndarray:
     return np.array([inst.given_label for inst in instances], dtype=np.int64)
 
 
-def _squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at 0 against float error."""
+def _squared_distances(
+    queries: np.ndarray, points: np.ndarray, points_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clamped at 0 against float error.
+
+    Evaluated in place as ``(|q|^2 + |p|^2) - 2 q.p``, so only the product and
+    the norm sum are allocated. ``points_sq`` passes precomputed ``|p|^2``.
+    """
     qq = np.einsum("ij,ij->i", queries, queries)
-    pp = np.einsum("ij,ij->i", points, points)
-    d2 = qq[:, None] + pp[None, :] - 2.0 * (queries @ points.T)
+    pp = np.einsum("ij,ij->i", points, points) if points_sq is None else points_sq
+    cross = queries @ points.T
+    cross *= 2.0
+    d2 = np.add.outer(qq, pp)
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+# kNN distances are computed this many at a time, so one block (2 MiB of
+# float64) stays in cache however large the training set grows
+KNN_BLOCK_DISTANCES = 1 << 18
 
 
 class KnnModel:
@@ -80,20 +94,29 @@ class KnnModel:
         self.k = min(spec.knn_k, len(y))
         self.num_features = X.shape[1]
         self.trained_on_count = len(y)
+        self._points_sq = np.einsum("ij,ij->i", X, X)
+        # float32 counts stay exact integers below 2^24 voters, at half the
+        # product's memory traffic
+        vote_type = np.float32 if len(y) < 1 << 24 else np.float64
+        self._onehot = np.zeros((len(y), spec.num_classes), dtype=vote_type)
+        self._onehot[np.arange(len(y)), y] = 1
 
     def predict_many(self, queries: np.ndarray) -> np.ndarray:
         out = np.empty(len(queries), dtype=np.int64)
-        # chunked so the distance matrix stays bounded on large training sets
-        chunk = max(1, int(4_000_000 // max(1, len(self.y))))
-        for start in range(0, len(queries), chunk):
-            block = queries[start : start + chunk]
-            d2 = _squared_distances(block, self.X)
-            kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
-            for r in range(len(block)):
-                cand = np.flatnonzero(d2[r] <= kth[r])
+        k = self.k
+        rows = max(1, KNN_BLOCK_DISTANCES // len(self.y))
+        for start in range(0, len(queries), rows):
+            d2 = _squared_distances(queries[start : start + rows], self.X, self._points_sq)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            # every point at or inside the k-th distance votes; that is exactly
+            # the k nearest unless a tie at the k-th distance lets more in
+            within = d2 <= kth[:, None]
+            votes = within.astype(self._onehot.dtype) @ self._onehot
+            for r in np.flatnonzero(votes.sum(axis=1) > k):
+                cand = np.flatnonzero(within[r])
                 order = np.argsort(d2[r, cand], kind="stable")
-                votes = np.bincount(self.y[cand[order[: self.k]]])
-                out[start + r] = votes.argmax()
+                votes[r] = np.bincount(self.y[cand[order[:k]]], minlength=votes.shape[1])
+            out[start : start + len(d2)] = votes.argmax(axis=1)
         return out
 
 
@@ -226,10 +249,23 @@ def predict_batch(model: ClassifierModel, instances: list[LabeledInstance]) -> l
     return [int(p) for p in model.predict_many(X)]
 
 
-def evaluate_accuracy(model: ClassifierModel, test: list[LabeledInstance]) -> float:
-    """Fraction of test instances whose prediction equals the *true* label."""
+def stack_test_set(test: list[LabeledInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """A test set's feature matrix and true labels, stacked once for rescoring."""
     if not test:
         raise ValueError("test set is empty")
-    preds = predict_batch(model, test)
-    hits = sum(1 for p, inst in zip(preds, test) if p == inst.true_label)
-    return hits / len(test)
+    return features_matrix(test), np.array([inst.true_label for inst in test], dtype=np.int64)
+
+
+def evaluate_accuracy(
+    model: ClassifierModel, test: list[LabeledInstance] | tuple[np.ndarray, np.ndarray]
+) -> float:
+    """Fraction of test instances whose prediction equals the *true* label.
+
+    ``test`` is a list of instances, or the pair ``stack_test_set`` made of one.
+    """
+    X, truth = stack_test_set(test) if isinstance(test, list) else test
+    if X.shape[1] != model.num_features:
+        raise ValueError(
+            f"expected {model.num_features} features, got {X.shape[1]}"
+        )
+    return int(np.count_nonzero(model.predict_many(X) == truth)) / len(truth)

@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cleanstream import models
 from cleanstream.core import LabeledInstance
 from cleanstream.models import (
+    KNN_BLOCK_DISTANCES,
     ClassifierSpec,
     KnnModel,
     MlpModel,
+    _squared_distances,
     evaluate_accuracy,
     predict,
     predict_batch,
+    stack_test_set,
     train,
 )
 
@@ -34,9 +38,9 @@ def knn_spec(k=5, num_classes=3, **kw) -> ClassifierSpec:
 
 def knn_oracle(X, y, query, k):
     """Reference prediction: full sort by (distance, index), then min-count vote."""
-    dists = [(float(np.sqrt(((x - query) ** 2).sum())), i) for i, x in enumerate(X)]
-    dists.sort()
-    chosen = [y[i] for _, i in dists[: min(k, len(y))]]
+    dists = np.sqrt(((np.asarray(X) - query) ** 2).sum(axis=1)).tolist()
+    ranked = sorted(range(len(dists)), key=lambda i: (dists[i], i))
+    chosen = [y[i] for i in ranked[: min(k, len(y))]]
     best, best_count = None, -1
     for cls in range(max(y) + 1):
         count = chosen.count(cls)
@@ -61,6 +65,63 @@ def test_knn_matches_oracle_on_200_random_cases():
             assert predict(model, q) == knn_oracle(X, list(y), q, k), (
                 f"case {case}: n={n} f={f} k={k}"
             )
+
+
+@pytest.mark.parametrize(
+    "grid, f, labels, num_classes, k",
+    [
+        (4, 3, (0, 1, 2), 3, 5),  # 64 cells for ~6,500 points: every row ties
+        (16, 4, (0, 1, 2, 3), 4, 1),
+        (16, 4, (1, 4), 6, 7),  # classes 0, 2, 3 and 5 never occur
+        (8, 2, (0, 2), 3, None),  # k equal to the pool size
+        (8, 2, (0, 1), 2, 10**6),  # k larger than the pool
+    ],
+)
+def test_knn_batched_prediction_matches_oracle_across_blocks(grid, f, labels, num_classes, k):
+    rng = np.random.default_rng(grid * 100 + f)
+    n = KNN_BLOCK_DISTANCES // 40  # 40 queries fill one distance block
+    X = rng.integers(0, grid, size=(n, f)).astype(float)
+    y = rng.choice(labels, size=n)
+    k = n if k is None else k
+    model = train(knn_spec(k=k, num_classes=num_classes), wrap(X, y), rng)
+    queries = rng.integers(0, grid, size=(100, f)).astype(float)  # 3 blocks
+    got = model.predict_many(queries)
+    want = [knn_oracle(X, list(y), q, k) for q in queries]
+    assert got.tolist() == want
+
+
+def test_knn_small_blocks_match_oracle(monkeypatch):
+    # a tiny block budget puts block boundaries everywhere, down to one query
+    # per block, on pools small enough for many random cases
+    rng = np.random.default_rng(99)
+    for case in range(100):
+        monkeypatch.setattr(models, "KNN_BLOCK_DISTANCES", int(rng.integers(1, 120)))
+        n = int(rng.integers(1, 40))
+        f = int(rng.integers(1, 4))
+        num_classes = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 45))
+        X = rng.integers(0, 4, size=(n, f)).astype(float)
+        y = rng.integers(0, num_classes, size=n)
+        model = train(knn_spec(k=k, num_classes=num_classes), wrap(X, y), rng)
+        queries = rng.integers(0, 4, size=(17, f)).astype(float)
+        want = [knn_oracle(X, list(y), q, k) for q in queries]
+        assert model.predict_many(queries).tolist() == want, f"case {case}: n={n} k={k}"
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_squared_distances_are_bit_identical_to_the_plain_expression(integer):
+    rng = np.random.default_rng(13)
+    if integer:
+        q = rng.integers(-50, 50, size=(70, 9)).astype(float)
+        p = rng.integers(-50, 50, size=(300, 9)).astype(float)
+    else:
+        q = rng.normal(size=(70, 9)) * 3.0
+        p = np.vstack([rng.normal(size=(299, 9)) * 3.0, q[:1]])  # one exact match
+    qq = np.einsum("ij,ij->i", q, q)
+    pp = np.einsum("ij,ij->i", p, p)
+    want = np.maximum(qq[:, None] + pp[None, :] - 2.0 * (q @ p.T), 0.0)
+    assert _squared_distances(q, p).tobytes() == want.tobytes()
+    assert _squared_distances(q, p, pp).tobytes() == want.tobytes()
 
 
 def test_knn_tie_breaks_on_training_index_then_class():
@@ -248,6 +309,19 @@ def test_evaluate_accuracy_scores_against_true_labels():
     assert evaluate_accuracy(model, test) == 0.5
     with pytest.raises(ValueError):
         evaluate_accuracy(model, [])
+
+
+def test_evaluate_accuracy_reuses_a_stacked_test_set():
+    X = np.array([[0.0], [10.0]])
+    model = train(knn_spec(k=1, num_classes=2), wrap(X, [0, 1]), np.random.default_rng(0))
+    test = wrap(np.array([[1.0], [9.0], [8.0]]), [0, 0, 1])
+    stacked = stack_test_set(test)
+    assert evaluate_accuracy(model, stacked) == evaluate_accuracy(model, test) == 2 / 3
+    with pytest.raises(ValueError, match="empty"):
+        stack_test_set([])
+    wide = stack_test_set(wrap(np.zeros((2, 3)), [0, 1]))
+    with pytest.raises(ValueError, match="features"):
+        evaluate_accuracy(model, wide)
 
 
 def test_spec_validation():
