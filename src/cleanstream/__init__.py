@@ -22,7 +22,6 @@ from .core import (
 from .frameworks import (
     BASELINE_KINDS,
     VARIANTS,
-    CleanseResult,
     FrameworkState,
     GroundTruthOracle,
     Oracle,
@@ -43,7 +42,6 @@ __all__ = [
     "Batch",
     "BatchReport",
     "ClassifierSpec",
-    "CleanseResult",
     "CsvFormatError",
     "Dataset",
     "ExperimentConfig",

@@ -1,20 +1,24 @@
 """Reference baselines that bracket the selection frameworks.
 
 Each baseline is a selection rule over the same state the variants use, set
-up by :func:`cleanstream.frameworks.initialize` without a label model.
-``no_sel`` trains on everything as delivered (lower anchor), ``opt_sel``
-trains only on the truly clean part of each batch (what a perfect selector
-would keep), and ``full_clean`` trains on everything with labels reset to
-ground truth (upper anchor). The last two read ``true_label`` and exist only
-for simulation.
+up by :func:`cleanstream.frameworks.initialize` without a label model and
+stepped through :func:`cleanstream.frameworks.step`. ``no_sel`` trains on
+everything as delivered (lower anchor), ``opt_sel`` trains only on the truly
+clean part of each batch (what a perfect selector would keep), and
+``full_clean`` trains on everything with labels reset to ground truth (upper
+anchor). The last two read ``true_label`` and exist only for simulation.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Batch, LabeledInstance
-from .frameworks import FrameworkState, _report
 from .metrics import BatchReport
 from .models import train as train_model
+
+if TYPE_CHECKING:
+    from .frameworks import FrameworkState
 
 
 def no_sel(batch: Batch) -> list[LabeledInstance]:
@@ -44,4 +48,4 @@ def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchRepo
     if len(state.clean_pool) != state.pool_size_at_last_train:
         state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
         state.pool_size_at_last_train = len(state.clean_pool)
-    return state, _report(state, batch, selected)
+    return state, state.report(batch, selected)

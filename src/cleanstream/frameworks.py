@@ -8,7 +8,8 @@ budgeted); ``slimmed`` drops the label model entirely and retrains on a
 sliding window instead of the full pool.
 
 The three baselines in :mod:`cleanstream.baselines` run on the same state:
-they are selection rules with no label model.
+they are selection rules with no label model. :func:`step` is the one entry
+for an arrival of any of the seven kinds.
 
 All step functions mutate the passed state in place and return it together
 with a per-batch report.
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import baselines
 from .core import Batch, LabeledInstance
 from .metrics import BatchReport
 from .models import (
@@ -34,9 +36,8 @@ from .models import (
 from .models import train as train_model
 
 VARIANTS = ("rad", "voting", "active", "slimmed")
-BASELINE_KINDS = ("no_sel", "opt_sel", "full_clean")
+BASELINE_KINDS = tuple(baselines.SELECTION_RULES)
 ALL_VARIANTS = VARIANTS + BASELINE_KINDS
-ORACLE_VARIANTS = ("active", "slimmed")
 LABEL_MODEL_VARIANTS = ("rad", "voting", "active")
 
 
@@ -56,43 +57,20 @@ class GroundTruthOracle(Oracle):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Per-batch cap on oracle queries.
+    """Per-batch cap on oracle queries: at most ``floor(fraction * batch_size)``.
 
-    ``unlimited`` answers everything; ``per_batch_fraction`` allows at most
-    ``floor(fraction * batch_size)`` queries per arriving batch.
+    The default fraction of 1 never binds, since every candidate comes from
+    the arriving batch.
     """
 
-    limit_mode: str = "unlimited"
     fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.limit_mode not in ("unlimited", "per_batch_fraction"):
-            raise ValueError(
-                f"limit_mode must be 'unlimited' or 'per_batch_fraction', "
-                f"got {self.limit_mode!r}"
-            )
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
 
-    def max_queries(self, batch_size: int) -> int | None:
-        if self.limit_mode == "unlimited":
-            return None
+    def max_queries(self, batch_size: int) -> int:
         return int(math.floor(self.fraction * batch_size))
-
-
-@dataclass
-class CleanseResult:
-    """Label-model verdict on one batch.
-
-    ``predicted_clean`` holds instances whose label-model prediction equals
-    their given label (so the prediction is recoverable from the label);
-    ``dirty_predictions`` gives the label-model prediction for each entry of
-    ``predicted_dirty``, in order.
-    """
-
-    predicted_clean: list[LabeledInstance]
-    predicted_dirty: list[LabeledInstance]
-    dirty_predictions: list[int]
 
 
 @dataclass
@@ -115,6 +93,19 @@ class FrameworkState:
     @property
     def inactive_total(self) -> int:
         return sum(len(group) for group in self.inactive)
+
+    def report(
+        self, batch: Batch, selected: list[LabeledInstance], oracle_queries: int = 0
+    ) -> BatchReport:
+        """The per-batch report of an arrival that selected ``selected``."""
+        return BatchReport(
+            batch_index=batch.index,
+            drawn_noise_level=batch.drawn_noise_level,
+            selected_count=len(selected),
+            selected_true_clean_count=sum(1 for inst in selected if inst.is_clean),
+            oracle_queries=oracle_queries,
+            inactive_total=self.inactive_total,
+        )
 
 
 def initialize(
@@ -155,38 +146,43 @@ def initialize(
     return state
 
 
-def cleanse(label_model: ClassifierModel, batch: Batch) -> CleanseResult:
-    """Split a batch by whether the label model confirms each given label."""
-    preds = predict_batch(label_model, batch.instances)
-    result = CleanseResult([], [], [])
-    for inst, pred in zip(batch.instances, preds):
+def cleanse(
+    model: ClassifierModel, instances: list[LabeledInstance]
+) -> tuple[list[LabeledInstance], list[LabeledInstance], list[int]]:
+    """Split instances by whether the model confirms each given label.
+
+    Returns (agreed, disagreed, the model's prediction for each disagreed
+    instance), all in input order.
+    """
+    agreed: list[LabeledInstance] = []
+    disagreed: list[LabeledInstance] = []
+    disagreed_preds: list[int] = []
+    for inst, pred in zip(instances, predict_batch(model, instances)):
         if pred == inst.given_label:
-            result.predicted_clean.append(inst)
+            agreed.append(inst)
         else:
-            result.predicted_dirty.append(inst)
-            result.dirty_predictions.append(pred)
-    return result
+            disagreed.append(inst)
+            disagreed_preds.append(pred)
+    return agreed, disagreed, disagreed_preds
 
 
 def voting_filter(
-    label_result: CleanseResult, classifier: ClassifierModel
+    instances: list[LabeledInstance],
+    label_predictions: list[int],
+    classifier: ClassifierModel,
 ) -> tuple[list[LabeledInstance], list[LabeledInstance]]:
-    """Let the classifier vote on the label model's rejects.
+    """Let the classifier vote on instances the label model rejected.
 
+    ``label_predictions`` holds the label model's class for each instance.
     An instance is accepted if the classifier confirms its given label, or if
     the classifier and the label model agree on some other class, in which
     case the given label is replaced by that class. Everything else is
-    rejected. Returns (accepted, rejected) in batch order.
+    rejected. Returns (accepted, rejected) in input order.
     """
-    uncertain = label_result.predicted_dirty
     accepted: list[LabeledInstance] = []
     rejected: list[LabeledInstance] = []
-    if not uncertain:
-        return accepted, rejected
-    cls_preds = predict_batch(classifier, uncertain)
-    for inst, label_pred, cls_pred in zip(
-        uncertain, label_result.dirty_predictions, cls_preds
-    ):
+    cls_preds = predict_batch(classifier, instances)
+    for inst, label_pred, cls_pred in zip(instances, label_predictions, cls_preds):
         if cls_pred == inst.given_label:
             accepted.append(inst)
         elif cls_pred == label_pred:
@@ -197,40 +193,22 @@ def voting_filter(
     return accepted, rejected
 
 
-def _retrain_if_pool_grew(state: FrameworkState) -> bool:
+def _retrain_if_pool_grew(state: FrameworkState) -> None:
     """Retrain both models on the pool, unless nothing was added since last time."""
     if len(state.clean_pool) == state.pool_size_at_last_train:
-        return False
+        return
     state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
     if state.label_model is not None:
         state.label_model = train_model(state.label_spec, state.clean_pool, state.rng)
     state.pool_size_at_last_train = len(state.clean_pool)
-    return True
-
-
-def _report(
-    state: FrameworkState,
-    batch: Batch,
-    selected: list[LabeledInstance],
-    oracle_queries: int = 0,
-) -> BatchReport:
-    return BatchReport(
-        batch_index=batch.index,
-        drawn_noise_level=batch.drawn_noise_level,
-        selected_count=len(selected),
-        selected_true_clean_count=sum(1 for inst in selected if inst.is_clean),
-        oracle_queries=oracle_queries,
-        inactive_total=state.inactive_total,
-    )
 
 
 def rad_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Base variant: keep what the label model confirms, drop the rest."""
-    result = cleanse(state.label_model, batch)
-    selected = result.predicted_clean
+    selected, _, _ = cleanse(state.label_model, batch.instances)
     state.clean_pool.extend(selected)
     _retrain_if_pool_grew(state)
-    return state, _report(state, batch, selected)
+    return state, state.report(batch, selected)
 
 
 def voting_step(
@@ -242,19 +220,19 @@ def voting_step(
     on the grown pool, and the two largest history groups get reprocessed
     under the fresh models.
     """
-    result = cleanse(state.label_model, batch)
-    accepted, rejected = voting_filter(result, state.classifier)
-    selected = result.predicted_clean + accepted
+    agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
+    accepted, rejected = voting_filter(disagreed, preds, state.classifier)
+    selected = agreed + accepted
     state.clean_pool.extend(selected)
     if rejected:
         state.inactive.append(rejected)
         state.inactive.sort(key=len, reverse=True)
     _retrain_if_pool_grew(state)
     reprocess_history(state)
-    return state, _report(state, batch, selected)
+    return state, state.report(batch, selected)
 
 
-def reprocess_history(state: FrameworkState) -> FrameworkState:
+def reprocess_history(state: FrameworkState) -> None:
     """Re-run the voting rule over the two largest inactive groups.
 
     Newly accepted instances join the pool right away but the models are not
@@ -262,20 +240,16 @@ def reprocess_history(state: FrameworkState) -> FrameworkState:
     re-enter the history, which stays sorted by size, largest first.
     """
     if not state.inactive:
-        return state
-    groups = state.inactive[:2]
+        return
     survivors: list[list[LabeledInstance]] = []
-    for group in groups:
+    for group in state.inactive[:2]:
         preds = predict_batch(state.label_model, group)
-        accepted, rejected = voting_filter(
-            CleanseResult([], group, preds), state.classifier
-        )
+        accepted, rejected = voting_filter(group, preds, state.classifier)
         state.clean_pool.extend(accepted)
         if rejected:
             survivors.append(rejected)
     state.inactive = state.inactive[2:] + survivors
     state.inactive.sort(key=len, reverse=True)
-    return state
 
 
 def _sample_within_budget(
@@ -286,18 +260,14 @@ def _sample_within_budget(
 ) -> list[LabeledInstance]:
     """Uniform random subset of candidates obeying the per-batch cap."""
     cap = budget.max_queries(batch_size)
-    if cap is None or len(candidates) <= cap:
+    if len(candidates) <= cap:
         return list(candidates)
     picked = rng.choice(len(candidates), size=cap, replace=False)
     return [candidates[i] for i in sorted(int(i) for i in picked)]
 
 
 def active_step(
-    state: FrameworkState,
-    batch: Batch,
-    oracle: Oracle,
-    budget: OracleBudget,
-    rng: np.random.Generator,
+    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
     """Active variant: escalate voting disagreements to the oracle.
 
@@ -306,24 +276,20 @@ def active_step(
     sampled uniformly and the rest of the disagreements are discarded. No
     inactive history is kept.
     """
-    result = cleanse(state.label_model, batch)
-    accepted, disagreed = voting_filter(result, state.classifier)
-    queried = _sample_within_budget(disagreed, budget, len(batch.instances), rng)
+    agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
+    accepted, undecided = voting_filter(disagreed, preds, state.classifier)
+    queried = _sample_within_budget(undecided, budget, len(batch.instances), state.rng)
     for inst in queried:
         inst.given_label = oracle.answer(inst)
     state.oracle_queries_total += len(queried)
-    selected = result.predicted_clean + accepted + queried
+    selected = agreed + accepted + queried
     state.clean_pool.extend(selected)
     _retrain_if_pool_grew(state)
-    return state, _report(state, batch, selected, oracle_queries=len(queried))
+    return state, state.report(batch, selected, oracle_queries=len(queried))
 
 
 def slimmed_step(
-    state: FrameworkState,
-    batch: Batch,
-    oracle: Oracle,
-    budget: OracleBudget,
-    rng: np.random.Generator,
+    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
     """Slimmed variant: no label model, no full-pool retraining.
 
@@ -333,18 +299,14 @@ def slimmed_step(
     the current oracle answers, and the previous arrival's oracle answers, so
     each oracle batch is trained on exactly twice.
     """
-    preds = predict_batch(state.classifier, batch.instances)
-    agreed: list[LabeledInstance] = []
-    disagreed: list[LabeledInstance] = []
-    for inst, pred in zip(batch.instances, preds):
-        (agreed if pred == inst.given_label else disagreed).append(inst)
-    queried = _sample_within_budget(disagreed, budget, len(batch.instances), rng)
+    agreed, disagreed, _ = cleanse(state.classifier, batch.instances)
+    queried = _sample_within_budget(disagreed, budget, len(batch.instances), state.rng)
     for inst in queried:
         inst.given_label = oracle.answer(inst)
     state.oracle_queries_total += len(queried)
 
     window = agreed + queried + state.prev_oracle_batch
-    state.last_training_window = list(window)
+    state.last_training_window = window
     if window:
         if isinstance(state.classifier, MlpModel):
             state.classifier.fit(
@@ -355,25 +317,20 @@ def slimmed_step(
 
     selected = agreed + queried
     state.clean_pool.extend(selected)
-    state.pool_size_at_last_train = len(state.clean_pool)
-    state.prev_oracle_batch = list(queried)
-    return state, _report(state, batch, selected, oracle_queries=len(queried))
+    state.prev_oracle_batch = queried
+    return state, state.report(batch, selected, oracle_queries=len(queried))
 
 
 def step(
-    state: FrameworkState,
-    batch: Batch,
-    oracle: Oracle | None = None,
-    budget: OracleBudget | None = None,
+    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
-    """Dispatch one arrival to the state's variant."""
-    if state.variant in ORACLE_VARIANTS:
-        if oracle is None:
-            raise ValueError(f"variant {state.variant!r} needs an oracle")
-        budget = budget or OracleBudget()
-        if state.variant == "active":
-            return active_step(state, batch, oracle, budget, state.rng)
-        return slimmed_step(state, batch, oracle, budget, state.rng)
+    """Run one arrival through the state's variant or baseline."""
     if state.variant == "rad":
         return rad_step(state, batch)
-    return voting_step(state, batch)
+    if state.variant == "voting":
+        return voting_step(state, batch)
+    if state.variant == "active":
+        return active_step(state, batch, oracle, budget)
+    if state.variant == "slimmed":
+        return slimmed_step(state, batch, oracle, budget)
+    return baselines.step(state, batch)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, frameworks
+from . import frameworks
 from .core import (
     Dataset,
     LabeledInstance,
@@ -33,13 +33,7 @@ from .core import (
     scale_features,
     split_stream,
 )
-from .frameworks import (
-    ALL_VARIANTS,
-    BASELINE_KINDS,
-    FrameworkState,
-    GroundTruthOracle,
-    OracleBudget,
-)
+from .frameworks import ALL_VARIANTS, FrameworkState, GroundTruthOracle, OracleBudget
 from .metrics import (
     RunResult,
     RunSummary,
@@ -151,7 +145,6 @@ CONFIG_KEYS = {
     "classifier.kind": (str, "knn"),
     **{f"classifier.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
     "classifier.seed": (int, 0),
-    "oracle.limit_mode": (str, "unlimited"),
     "oracle.fraction": (float, 1.0),
     "run.repetitions": (int, 1),
     "run.output_dir": (str, None),
@@ -332,10 +325,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
             level = draw_batch_noise_level(config.noise, noise_rng)
             inject_symmetric_noise(batch, level, config.stream.num_classes, noise_rng)
             stage = "step"
-            if config.variant in BASELINE_KINDS:
-                state, report = baselines.step(state, batch)
-            else:
-                state, report = frameworks.step(state, batch, oracle, config.budget)
+            state, report = frameworks.step(state, batch, oracle, config.budget)
             stage = "evaluate"
             report.test_accuracy = evaluate_accuracy(state.classifier, stacked_test)
             reports.append(report)

@@ -99,9 +99,6 @@ class RunSummary:
     initial_accuracy: float
     final_accuracy: float
     final_accuracy_variance: float
-    accuracy_series: list[float]
-    accuracy_variance_series: list[float]
-    per_run_final_accuracies: list[float]
     final_A: float
     final_A_truth: float
     mean_oracle_queries: float
@@ -118,9 +115,7 @@ def _variance(values: list[float]) -> float:
     return sum((v - m) ** 2 for v in values) / len(values)
 
 
-def aggregate_runs(
-    results: list[RunResult], repetitions: int | None = None
-) -> RunSummary:
+def aggregate_runs(results: list[RunResult]) -> RunSummary:
     """Average repetitions of a single configuration into one summary.
 
     All results must share variant, noise level, and arrival count; seeds are
@@ -128,8 +123,6 @@ def aggregate_runs(
     """
     if not results:
         raise ValueError("need at least one run result")
-    if repetitions is not None and len(results) != repetitions:
-        raise ValueError(f"expected {repetitions} results, got {len(results)}")
     first = results[0]
     for r in results[1:]:
         if (
@@ -143,14 +136,6 @@ def aggregate_runs(
                 f"({first.variant}, {first.noise_mean}, {len(first.reports)} batches)"
             )
     finals = [r.final_accuracy for r in results]
-    series = [
-        _mean([r.reports[i].test_accuracy for r in results])
-        for i in range(len(first.reports))
-    ]
-    series_var = [
-        _variance([r.reports[i].test_accuracy for r in results])
-        for i in range(len(first.reports))
-    ]
     return RunSummary(
         variant=first.variant,
         noise_mean=first.noise_mean,
@@ -158,9 +143,6 @@ def aggregate_runs(
         initial_accuracy=_mean([r.initial_accuracy for r in results]),
         final_accuracy=_mean(finals),
         final_accuracy_variance=_variance(finals),
-        accuracy_series=series,
-        accuracy_variance_series=series_var,
-        per_run_final_accuracies=finals,
         final_A=_mean([r.final_A for r in results]),
         final_A_truth=_mean([r.final_A_truth for r in results]),
         mean_oracle_queries=_mean([float(r.oracle_queries_total) for r in results]),

@@ -133,7 +133,6 @@ def test_c2_active_learning_tracks_ceiling(run_cache):
     limited = mean_final(
         run_cache,
         framework__variant="active",
-        oracle__limit_mode="per_batch_fraction",
         oracle__fraction="0.2",
     )
     full_clean = mean_final(run_cache, framework__variant="full_clean")
@@ -421,13 +420,13 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
     real_cleanse = frameworks.cleanse
     real_filter = frameworks.voting_filter
 
-    def recording_cleanse(model, batch):
-        result = real_cleanse(model, batch)
-        events.append(("cleanse", len(result.predicted_clean), len(result.predicted_dirty)))
-        return result
+    def recording_cleanse(model, instances):
+        agreed, disagreed, preds = real_cleanse(model, instances)
+        events.append(("cleanse", len(agreed), len(disagreed)))
+        return agreed, disagreed, preds
 
-    def recording_filter(result, classifier):
-        accepted, rejected = real_filter(result, classifier)
+    def recording_filter(instances, label_predictions, classifier):
+        accepted, rejected = real_filter(instances, label_predictions, classifier)
         events.append(("filter", len(accepted), len(rejected)))
         return accepted, rejected
 
@@ -480,7 +479,6 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
         run_cache,
         framework__variant="active",
         stream__initial_batch_size="100",
-        oracle__limit_mode="per_batch_fraction",
         oracle__fraction="0.03",
         **SHORT_SHAPE,
     )

@@ -1,0 +1,66 @@
+"""The benchmark tracer's contract with the package.
+
+``bench/tracer.py`` wraps functions at the package's module attributes and
+counts per-layer work from their calls. A rename, a second entry point or a
+keyword call at one of those boundaries silently breaks ``--trace 1``; these
+tests run every kind under the tracer and check that each wrapper is still
+called and still comes off cleanly.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from cleanstream import baselines, cli, frameworks, harness, models, noise
+from cleanstream.frameworks import ALL_VARIANTS
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+STREAM = {
+    "stream.num_classes": "3",
+    "stream.num_features": "4",
+    "stream.initial_batch_size": "30",
+    "stream.batch_size": "10",
+    "stream.num_batches": "3",
+    "stream.test_size": "20",
+    "noise.mean": "0.4",
+    "classifier.kind": "knn",
+    "classifier.knn_k": "3",
+    "label_model.kind": "centroid",
+}
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_tracer_sees_every_arrival_and_restores(variant):
+    program = SimpleNamespace(
+        baselines=baselines, cli=cli, frameworks=frameworks,
+        harness=harness, models=models, noise=noise,
+    )
+    tracer = load_tracer_class()(program)
+    config = harness.config_from_mapping(dict(STREAM, **{"framework.variant": variant}))
+    tracer.install()
+    try:
+        result = harness.run_single(config, 0)
+    finally:
+        broken = tracer.restore()
+    assert broken == []
+    arrivals = config.stream.num_batches * config.stream.batch_size
+    assert tracer.counts["frameworks.arrived"] == arrivals
+    assert tracer.counts["frameworks.selected"] == sum(
+        r.selected_count for r in result.reports
+    )
+    assert tracer.counts["frameworks.oracle_queries"] == result.oracle_queries_total
+    assert tracer.counts["noise.flips"] > 0
+    step_spans = [span for span in tracer.spans if span[0] == "frameworks.step"]
+    assert len(step_spans) == config.stream.num_batches

@@ -13,7 +13,6 @@ import pytest
 import cleanstream.frameworks as frameworks
 from cleanstream.core import Batch, LabeledInstance, StreamConfig, generate_synthetic, split_stream
 from cleanstream.frameworks import (
-    CleanseResult,
     GroundTruthOracle,
     Oracle,
     OracleBudget,
@@ -79,11 +78,11 @@ def stubbed_state(monkeypatch, variant, label_stub, clf_stub, initial_instances)
 def test_cleanse_partitions_by_label_model_agreement(monkeypatch):
     monkeypatch.setattr(frameworks, "predict_batch", stub_predict_batch)
     label_model = StubModel({1: 0, 2: 2, 3: 1})
-    batch = Batch(index=1, instances=[make_inst(1, 0), make_inst(2, 1), make_inst(3, 1)])
-    result = cleanse(label_model, batch)
-    assert [i.uid for i in result.predicted_clean] == [1, 3]
-    assert [i.uid for i in result.predicted_dirty] == [2]
-    assert result.dirty_predictions == [2]
+    instances = [make_inst(1, 0), make_inst(2, 1), make_inst(3, 1)]
+    agreed, disagreed, disagreed_preds = cleanse(label_model, instances)
+    assert [i.uid for i in agreed] == [1, 3]
+    assert [i.uid for i in disagreed] == [2]
+    assert disagreed_preds == [2]
 
 
 def test_voting_filter_rule_table(monkeypatch):
@@ -92,7 +91,7 @@ def test_voting_filter_rule_table(monkeypatch):
     # with label model / disagrees with both
     dirty = [make_inst(11, 1), make_inst(12, 1), make_inst(13, 1)]
     clf = StubModel({11: 1, 12: 2, 13: 3})
-    accepted, rejected = voting_filter(CleanseResult([], dirty, [2, 2, 2]), clf)
+    accepted, rejected = voting_filter(dirty, [2, 2, 2], clf)
     assert [i.uid for i in accepted] == [11, 12]
     assert dirty[0].given_label == 1  # confirmed, unchanged
     assert dirty[1].given_label == 2  # replaced by the agreed class
@@ -101,7 +100,7 @@ def test_voting_filter_rule_table(monkeypatch):
 
 
 def test_voting_filter_empty_input():
-    accepted, rejected = voting_filter(CleanseResult([], [], []), StubModel())
+    accepted, rejected = voting_filter([], [], StubModel())
     assert accepted == [] and rejected == []
 
 
@@ -271,20 +270,20 @@ def test_no_selection_skips_retraining(monkeypatch):
 # oracle and budget
 
 def test_budget_arithmetic():
-    assert OracleBudget().max_queries(300) is None
-    limited = OracleBudget(limit_mode="per_batch_fraction", fraction=0.2)
+    assert OracleBudget().max_queries(300) == 300
+    limited = OracleBudget(fraction=0.2)
     assert limited.max_queries(300) == 60
-    assert OracleBudget(limit_mode="per_batch_fraction", fraction=0.35).max_queries(20) == 7
-    assert OracleBudget(limit_mode="per_batch_fraction", fraction=0.0).max_queries(50) == 0
+    assert OracleBudget(fraction=0.35).max_queries(20) == 7
+    assert OracleBudget(fraction=0.0).max_queries(50) == 0
     with pytest.raises(ValueError):
-        OracleBudget(limit_mode="sometimes")
+        OracleBudget(fraction=-0.1)
     with pytest.raises(ValueError):
-        OracleBudget(limit_mode="per_batch_fraction", fraction=1.5)
+        OracleBudget(fraction=1.5)
 
 
 def test_budget_sampling_is_a_uniform_subset_in_batch_order():
     candidates = [make_inst(i, 0) for i in range(10)]
-    budget = OracleBudget(limit_mode="per_batch_fraction", fraction=0.4)
+    budget = OracleBudget(fraction=0.4)
     picked = frameworks._sample_within_budget(candidates, budget, 10, np.random.default_rng(5))
     assert len(picked) == 4
     uids = [i.uid for i in picked]
@@ -313,9 +312,7 @@ def test_active_step_queries_only_double_disagreements(monkeypatch):
         instances=[make_inst(10, 0), make_inst(11, 1, true=2), make_inst(12, 1, true=1)],
     )
     # 10 label-confirmed; 11 classifier-confirms given; 12 disagrees twice -> oracle
-    state, report = frameworks.active_step(
-        state, batch, oracle, OracleBudget(), np.random.default_rng(0)
-    )
+    state, report = frameworks.active_step(state, batch, oracle, OracleBudget())
     assert oracle.asked == [12]
     assert batch.instances[2].given_label == 1  # overwritten with the true label
     assert batch.instances[2].is_clean
@@ -330,10 +327,9 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
     clf = StubModel(default=8)  # everything disagrees -> all are oracle candidates
     state = stubbed_state(monkeypatch, "active", label, clf, [make_inst(0, 0)])
     batch = Batch(index=1, instances=[make_inst(u, 1, true=0) for u in range(10, 20)])
-    budget = OracleBudget(limit_mode="per_batch_fraction", fraction=0.3)
-    state, report = frameworks.active_step(
-        state, batch, CountingOracle(), budget, np.random.default_rng(1)
-    )
+    budget = OracleBudget(fraction=0.3)
+    state.rng = np.random.default_rng(1)
+    state, report = frameworks.active_step(state, batch, CountingOracle(), budget)
     assert report.oracle_queries == 3  # floor(0.3 * 10)
     assert report.selected_count == 3
     assert state.inactive == []
@@ -371,9 +367,7 @@ def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches():
         preds = predict_batch(state.classifier, batch.instances)
         agreed = [i.uid for i, p in zip(batch.instances, preds) if p == i.given_label]
         disagreed = [i.uid for i, p in zip(batch.instances, preds) if p != i.given_label]
-        state, report = frameworks.slimmed_step(
-            state, batch, oracle, OracleBudget(), np.random.default_rng(0)
-        )
+        state, report = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
         window = sorted(i.uid for i in state.last_training_window)
         assert window == sorted(agreed + disagreed + prev_queried)
         assert report.oracle_queries == len(disagreed)
@@ -393,9 +387,7 @@ def test_slimmed_oracle_batches_are_trained_on_exactly_twice():
     queried_per_arrival: list[list[int]] = []
     for batch in arrivals:
         before = len(oracle.asked)
-        state, _ = frameworks.slimmed_step(
-            state, batch, oracle, OracleBudget(), np.random.default_rng(0)
-        )
+        state, _ = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
         queried_per_arrival.append(oracle.asked[before:])
         windows.append([i.uid for i in state.last_training_window])
     appearances = {}
@@ -417,9 +409,7 @@ def test_slimmed_mlp_warm_starts_instead_of_retraining():
     model = state.classifier
     assert isinstance(model, MlpModel)
     for batch in arrivals:
-        state, _ = frameworks.slimmed_step(
-            state, batch, GroundTruthOracle(), OracleBudget(), np.random.default_rng(0)
-        )
+        state, _ = frameworks.slimmed_step(state, batch, GroundTruthOracle(), OracleBudget())
         assert state.classifier is model  # same object, weights updated in place
 
 
@@ -427,12 +417,10 @@ def test_slimmed_budget_caps_queries_and_discards_rest():
     initial, arrivals, _ = small_stream(num_batches=3, batch_size=10, noise=0.9)
     spec = ClassifierSpec(kind="centroid", num_classes=3)
     state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
-    budget = OracleBudget(limit_mode="per_batch_fraction", fraction=0.2)
+    budget = OracleBudget(fraction=0.2)
     for batch in arrivals:
         pool_before = len(state.clean_pool)
-        state, report = frameworks.slimmed_step(
-            state, batch, GroundTruthOracle(), budget, np.random.default_rng(0)
-        )
+        state, report = frameworks.slimmed_step(state, batch, GroundTruthOracle(), budget)
         assert report.oracle_queries <= 2  # floor(0.2 * 10)
         assert len(state.clean_pool) - pool_before == report.selected_count
         assert report.selected_count <= len(batch.instances)
@@ -446,13 +434,13 @@ def test_voting_conservation_with_real_models(monkeypatch):
     real_cleanse = frameworks.cleanse
     real_filter = frameworks.voting_filter
 
-    def recording_cleanse(model, batch):
-        result = real_cleanse(model, batch)
-        events.append(("cleanse", len(result.predicted_clean), len(result.predicted_dirty)))
-        return result
+    def recording_cleanse(model, instances):
+        agreed, disagreed, preds = real_cleanse(model, instances)
+        events.append(("cleanse", len(agreed), len(disagreed)))
+        return agreed, disagreed, preds
 
-    def recording_filter(result, clf):
-        accepted, rejected = real_filter(result, clf)
+    def recording_filter(instances, label_predictions, clf):
+        accepted, rejected = real_filter(instances, label_predictions, clf)
         events.append(("filter", len(accepted), len(rejected)))
         return accepted, rejected
 
@@ -502,14 +490,22 @@ def test_active_with_real_models_keeps_whole_batch_when_unlimited():
     assert state.oracle_queries_total == total_queries == len(oracle.asked)
 
 
-def test_step_dispatch_requires_oracle_for_oracle_variants():
-    initial, _, _ = small_stream(num_batches=1)
+def test_step_runs_a_baseline_state():
+    initial, arrivals, _ = small_stream(num_batches=2, noise=0.5)
     state = initialize(
-        "active",
-        initial,
-        ClassifierSpec(kind="centroid", num_classes=3),
-        ClassifierSpec(kind="knn", num_classes=3),
+        "opt_sel", initial, None, ClassifierSpec(kind="knn", num_classes=3),
         np.random.default_rng(0),
     )
-    with pytest.raises(ValueError, match="oracle"):
-        frameworks.step(state, Batch(index=1, instances=[make_inst(5, 0)]))
+    oracle = CountingOracle()
+    for batch in arrivals:
+        pool_before = len(state.clean_pool)
+        clf_before = state.classifier
+        clean_uids = [i.uid for i in batch.instances if i.is_clean]
+        state, report = frameworks.step(state, batch, oracle, OracleBudget())
+        assert [i.uid for i in state.clean_pool[pool_before:]] == clean_uids
+        assert report.selected_count == report.selected_true_clean_count == len(clean_uids)
+        assert report.oracle_queries == 0
+        assert report.inactive_total == 0
+        assert state.classifier is not clf_before  # retrained on the grown pool
+    assert oracle.asked == []
+    assert state.label_model is None

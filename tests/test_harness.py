@@ -97,7 +97,7 @@ def test_defaults_and_typed_fields():
     assert config.classifier_spec.kind == "knn"
     assert config.classifier_spec.num_classes == 3
     assert config.label_spec.kind == "centroid"
-    assert config.budget.limit_mode == "unlimited"
+    assert config.budget.fraction == 1.0
     assert config.repetitions == 1
     assert config.output_dir is None
 
@@ -208,7 +208,7 @@ EDGE_CASES = {
         "label_model.kind": "knn",
         "label_model.knn_k": "500",
     },
-    "zero_oracle_budget": {"oracle.limit_mode": "per_batch_fraction", "oracle.fraction": "0"},
+    "zero_oracle_budget": {"oracle.fraction": "0"},
     "all_noise_arrivals": {
         "noise.mean": "1.0",
         "noise.std_mode": "absolute",
@@ -231,7 +231,7 @@ def test_stream_edge_cases_keep_run_invariants(variant, case):
     for r in result.reports:
         assert 0 <= r.selected_count <= batch_size
         assert r.cumulative_A >= r.cumulative_A_truth
-        assert r.oracle_queries <= (batch_size if cap is None else cap)
+        assert r.oracle_queries <= cap
     assert result.oracle_queries_total == sum(r.oracle_queries for r in result.reports)
 
 

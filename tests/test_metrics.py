@@ -152,15 +152,12 @@ def test_written_csv_round_trips_values(tmp_path):
 def test_aggregate_means_and_variances_match_numpy():
     results = [run_result([0.5, 0.6], rep=0), run_result([0.7, 0.8], rep=1),
                run_result([0.6, 0.9], rep=2)]
-    summary = aggregate_runs(results, repetitions=3)
+    summary = aggregate_runs(results)
     finals = np.array([0.6, 0.8, 0.9])
     assert summary.final_accuracy == pytest.approx(finals.mean())
     assert summary.final_accuracy_variance == pytest.approx(finals.var())
-    assert summary.accuracy_series == pytest.approx([0.6, (0.6 + 0.8 + 0.9) / 3])
-    assert summary.accuracy_variance_series[0] == pytest.approx(
-        np.array([0.5, 0.7, 0.6]).var()
-    )
-    assert summary.per_run_final_accuracies == [0.6, 0.8, 0.9]
+    assert summary.initial_accuracy == 0.5
+    assert summary.mean_oracle_queries == 0.0
     assert summary.repetitions == 3
 
 
@@ -169,8 +166,6 @@ def test_aggregate_rejects_mixed_configurations():
         aggregate_runs([run_result([0.5]), run_result([0.5], variant="voting")])
     with pytest.raises(ValueError, match="mix"):
         aggregate_runs([run_result([0.5]), run_result([0.5, 0.6])])
-    with pytest.raises(ValueError, match="expected 3"):
-        aggregate_runs([run_result([0.5])], repetitions=3)
     with pytest.raises(ValueError, match="at least one"):
         aggregate_runs([])
 
