@@ -8,6 +8,10 @@ Subcommands::
 
 Any config key can be overridden on the command line as ``--key=value``;
 overrides are applied before the config is type-checked.
+
+``run`` is a matrix of one cell and prints summary lines instead of the
+comparison table. Exit codes: 2 when no repetition completed (or on a config
+or IO error), 1 when some repetitions failed, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -15,18 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import harness
 from .core import generate_synthetic, save_csv
-from .harness import (
-    ConfigError,
-    apply_overrides,
-    comparison_lines,
-    config_from_mapping,
-    expand_matrix,
-    load_config_file,
-    run_experiment,
-    run_matrix,
-    summary_lines,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,12 +46,12 @@ def _parse_overrides(extras: list[str]) -> dict[str, str]:
     overrides: dict[str, str] = {}
     for raw in extras:
         if not raw.startswith("--") or "=" not in raw:
-            raise ConfigError(
+            raise harness.ConfigError(
                 f"unrecognized argument {raw!r}; overrides look like --key=value"
             )
         key, _, value = raw[2:].partition("=")
         if not key:
-            raise ConfigError(f"override {raw!r} has no key")
+            raise harness.ConfigError(f"override {raw!r} has no key")
         overrides[key] = value
     return overrides
 
@@ -66,42 +60,43 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
-        mapping = apply_overrides(load_config_file(args.config), _parse_overrides(extras))
+        overrides = _parse_overrides(extras)
+        mapping = harness.apply_overrides(harness.load_config_file(args.config), overrides)
 
         if args.command == "gen-synthetic":
-            config = config_from_mapping(mapping)
+            config = harness.config_from_mapping(mapping)
             dataset = generate_synthetic(config.stream, separation=config.separation)
             save_csv(dataset, args.out)
             print(f"wrote {len(dataset)} instances to {args.out}")
             return 0
 
         if args.command == "run":
-            outcome = run_experiment(config_from_mapping(mapping))
-            for line in summary_lines(outcome.results, [outcome.summary]):
+            configs = [harness.config_from_mapping(mapping)]
+        else:
+            configs = harness.expand_matrix(mapping)
+        outcomes = harness.run_matrix(configs)
+        results = [r for o in outcomes for r in o.results]
+        if results:
+            summaries = [o.summary for o in outcomes if o.summary is not None]
+            if args.command == "run":
+                table = harness.summary_lines(results, summaries)
+            else:
+                table = harness.comparison_lines(summaries)
+            for line in table:
                 print(line)
-            if outcome.config.output_dir:
-                print(f"results under {outcome.config.output_dir}")
-            for error in outcome.errors:
-                print(f"error: {error}", file=sys.stderr)
-            return 1 if outcome.errors else 0
-
-        outcomes = run_matrix(expand_matrix(mapping))
-        summaries = [o.summary for o in outcomes if o.summary is not None]
-        for line in comparison_lines(summaries):
-            print(line)
-        failed = False
-        for outcome in outcomes:
-            for error in outcome.errors:
-                failed = True
-                print(
-                    f"error: variant={outcome.config.variant} "
-                    f"noise={outcome.config.noise.mean_level:g}: {error}",
-                    file=sys.stderr,
-                )
-        if outcomes and outcomes[0].config.output_dir:
-            print(f"results under {outcomes[0].config.output_dir}")
-        return 1 if failed else 0
-    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
+            if configs[0].output_dir:
+                print(f"results under {configs[0].output_dir}")
+        errors = [(o.config, e) for o in outcomes for e in o.errors]
+        for config, error in errors:
+            print(
+                f"error: variant={config.variant} "
+                f"noise={harness.format_noise(config.noise.mean_level)}: {error}",
+                file=sys.stderr,
+            )
+        if not results:
+            return 2
+        return 1 if errors else 0
+    except (harness.ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +71,8 @@ class OracleBudget:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
 
     def max_queries(self, batch_size: int) -> int:
-        return int(math.floor(self.fraction * batch_size))
+        # the decimal as written: 0.29 * 100 is 28.999... in binary floating point
+        return math.floor(Fraction(repr(self.fraction)) * batch_size)
 
 
 @dataclass

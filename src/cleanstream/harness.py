@@ -9,14 +9,16 @@ Output layout, rooted at ``run.output_dir``::
 
     <out>/<variant>/<noise>/<repetition>/batches.csv
     <out>/summary.txt          one line per run plus aggregates
-    <out>/comparison.txt       matrix mode only
+    <out>/comparison.txt       every variant against the baselines at its noise
 
-Reruns with identical inputs rewrite byte-identical files.
+A single run is a matrix of one cell. Reruns with identical inputs rewrite
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +97,13 @@ def _bool(raw: str) -> bool:
     raise ValueError
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
 def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
@@ -106,7 +115,7 @@ def _split_list(raw: str) -> list[str]:
 # What each parser that can fail expects, for error messages.
 _EXPECTED = {
     int: "an integer",
-    float: "a number",
+    _finite_float: "a finite number",
     _bool: "true/false",
     _int_tuple: "comma-separated integers",
 }
@@ -115,7 +124,7 @@ _MODEL_OPTIONS = {
     "knn_k": (int, 5),
     "mlp_hidden": (_int_tuple, (28, 28)),
     "mlp_epochs": (int, 50),
-    "mlp_learning_rate": (float, 0.01),
+    "mlp_learning_rate": (_finite_float, 0.01),
     "mlp_batch_size": (int, 32),
 }
 
@@ -124,7 +133,7 @@ _MODEL_OPTIONS = {
 CONFIG_KEYS = {
     "dataset.source": (str, "synthetic"),
     "dataset.path": (str, None),
-    "dataset.separation": (float, 3.0),
+    "dataset.separation": (_finite_float, 3.0),
     "dataset.scale": (_bool, False),
     "initial.clean": (_bool, False),
     "stream.num_classes": (int, 4),
@@ -135,9 +144,9 @@ CONFIG_KEYS = {
     "stream.test_size": (int, 2000),
     "stream.seed": (int, 0),
     "stream.stratify": (_bool, False),
-    "noise.mean": (float, 0.3),
+    "noise.mean": (_finite_float, 0.3),
     "noise.std_mode": (str, "relative"),
-    "noise.std": (float, 0.2),
+    "noise.std": (_finite_float, 0.2),
     "noise.seed": (int, 0),
     "framework.variant": (str, "rad"),
     "label_model.kind": (str, "mlp"),
@@ -145,7 +154,7 @@ CONFIG_KEYS = {
     "classifier.kind": (str, "knn"),
     **{f"classifier.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
     "classifier.seed": (int, 0),
-    "oracle.fraction": (float, 1.0),
+    "oracle.fraction": (_finite_float, 1.0),
     "run.repetitions": (int, 1),
     "run.output_dir": (str, None),
     "matrix.variants": (_split_list, ()),
@@ -256,7 +265,11 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
-    """One config per (variant, noise level) pair named by the matrix keys."""
+    """One config per (variant, noise level) pair named by the matrix keys.
+
+    A variant or noise level listed twice would give two cells one result
+    directory, so it is rejected.
+    """
     values = _typed_values(mapping)
     variants = values["matrix.variants"] or [values["framework.variant"]]
     noise_levels = values["matrix.noise_levels"] or [str(values["noise.mean"])]
@@ -267,6 +280,15 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
             cell["framework.variant"] = variant
             cell["noise.mean"] = noise_level
             configs.append(config_from_mapping(cell))
+    first_row = configs[: len(variants)]  # every variant at the first noise level
+    first_column = configs[:: len(variants)]  # the first variant at every noise level
+    for key, names in (
+        ("matrix.variants", [c.variant for c in first_row]),
+        ("matrix.noise_levels", [format_noise(c.noise.mean_level) for c in first_column]),
+    ):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ConfigError(f"{key}: {repeated[0]} is listed more than once")
     return configs
 
 
@@ -336,8 +358,6 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
 
         stage = "audit"
         _audit_test_purity(state, test)
-    except RepetitionError:
-        raise
     except Exception as exc:
         raise RepetitionError(repetition, batch_index, stage, exc) from exc
 
@@ -366,15 +386,6 @@ def format_noise(noise_mean: float) -> str:
 
 def result_dir(output_dir, variant: str, noise_mean: float, repetition: int) -> Path:
     return Path(output_dir) / variant / format_noise(noise_mean) / str(repetition)
-
-
-def _write_batch_files(config: ExperimentConfig, results: list[RunResult]) -> None:
-    for result in results:
-        directory = result_dir(
-            config.output_dir, result.variant, result.noise_mean, result.repetition
-        )
-        directory.mkdir(parents=True, exist_ok=True)
-        write_reports_csv(result.reports, directory / "batches.csv")
 
 
 def _fmt(value) -> str:
@@ -409,27 +420,6 @@ def summary_lines(results: list[RunResult], summaries: list[RunSummary]) -> list
             f"improvement_room={_fmt(s.improvement_room)}"
         )
     return lines
-
-
-def run_experiment(config: ExperimentConfig, write_files: bool = True) -> ExperimentOutcome:
-    """Run all repetitions of one config; failed repetitions don't stop the rest."""
-    results: list[RunResult] = []
-    errors: list[RepetitionError] = []
-    for repetition in range(config.repetitions):
-        try:
-            results.append(run_single(config, repetition))
-        except RepetitionError as exc:
-            errors.append(exc)
-    if not results:
-        raise errors[0]
-    summary = aggregate_runs(results)
-    if write_files and config.output_dir:
-        _write_batch_files(config, results)
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(summary_lines(results, [summary])) + "\n"
-        (out / "summary.txt").write_text(text, encoding="utf-8")
-    return ExperimentOutcome(config, results, summary, errors)
 
 
 COMPARISON_COLUMNS = (
@@ -484,20 +474,27 @@ def comparison_lines(summaries: list[RunSummary]) -> list[str]:
 
 
 def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
-    """Run every config; a config that fails entirely doesn't stop the others.
+    """Run every repetition of every config; a failed repetition doesn't stop the rest.
 
-    Improvement fields are attached wherever the same noise level also ran
-    the no_sel and full_clean baselines. Writes one combined summary.txt and
-    comparison.txt under the shared output dir.
+    Each failed repetition is recorded as a :class:`RepetitionError` on its
+    config's outcome. Improvement fields are attached wherever the same noise
+    level also ran the no_sel and full_clean baselines. When the shared
+    output dir is set and some repetition completed, writes every
+    batches.csv, one summary.txt and one comparison.txt.
     """
     if not configs:
         raise ValueError("matrix expansion produced no configs")
     outcomes: list[ExperimentOutcome] = []
     for config in configs:
-        try:
-            outcomes.append(run_experiment(config, write_files=False))
-        except RepetitionError as exc:
-            outcomes.append(ExperimentOutcome(config, [], None, [exc]))
+        results: list[RunResult] = []
+        errors: list[RepetitionError] = []
+        for repetition in range(config.repetitions):
+            try:
+                results.append(run_single(config, repetition))
+            except RepetitionError as exc:
+                errors.append(exc)
+        summary = aggregate_runs(results) if results else None
+        outcomes.append(ExperimentOutcome(config, results, summary, errors))
 
     summaries = [o.summary for o in outcomes if o.summary is not None]
     by_noise = _by_noise(summaries)
@@ -506,17 +503,21 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
         if "no_sel" in anchors and "full_clean" in anchors:
             attach_improvements(s, anchors["no_sel"], anchors["full_clean"])
 
+    all_results = [r for o in outcomes for r in o.results]
     output_dir = configs[0].output_dir
-    if output_dir:
-        all_results: list[RunResult] = []
-        for outcome in outcomes:
-            if outcome.results:
-                _write_batch_files(outcome.config, outcome.results)
-                all_results.extend(outcome.results)
+    if output_dir and all_results:
+        for r in all_results:
+            directory = result_dir(output_dir, r.variant, r.noise_mean, r.repetition)
+            directory.mkdir(parents=True, exist_ok=True)
+            write_reports_csv(r.reports, directory / "batches.csv")
         out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         text = "\n".join(summary_lines(all_results, summaries)) + "\n"
         (out / "summary.txt").write_text(text, encoding="utf-8")
         table = "\n".join(comparison_lines(summaries)) + "\n"
         (out / "comparison.txt").write_text(table, encoding="utf-8")
     return outcomes
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
+    """Run all repetitions of one config: a matrix of one cell."""
+    return run_matrix([config])[0]

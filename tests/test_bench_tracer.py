@@ -34,20 +34,20 @@ STREAM = {
 }
 
 
-def load_tracer_class():
+def make_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_tracer_sees_every_arrival_and_restores(variant):
     program = SimpleNamespace(
         baselines=baselines, cli=cli, frameworks=frameworks,
         harness=harness, models=models, noise=noise,
     )
-    tracer = load_tracer_class()(program)
+    return module.Tracer(program)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_tracer_sees_every_arrival_and_restores(variant):
+    tracer = make_tracer()
     config = harness.config_from_mapping(dict(STREAM, **{"framework.variant": variant}))
     tracer.install()
     try:
@@ -64,3 +64,20 @@ def test_tracer_sees_every_arrival_and_restores(variant):
     assert tracer.counts["noise.flips"] > 0
     step_spans = [span for span in tracer.spans if span[0] == "frameworks.step"]
     assert len(step_spans) == config.stream.num_batches
+
+
+def test_tracer_sees_the_matrix_driver_under_the_cli(tmp_path, capsys):
+    tracer = make_tracer()
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in STREAM.items()), encoding="utf-8")
+    tracer.install()
+    try:
+        code = cli.main(["matrix", "--config", str(conf), "--matrix.variants=no_sel,slimmed"])
+    finally:
+        broken = tracer.restore()
+    assert broken == []
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.main") == 1
+    assert names.count("harness.run_matrix") == 1
+    assert names.count("harness.run_single") == 2

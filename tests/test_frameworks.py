@@ -275,6 +275,9 @@ def test_budget_arithmetic():
     assert limited.max_queries(300) == 60
     assert OracleBudget(fraction=0.35).max_queries(20) == 7
     assert OracleBudget(fraction=0.0).max_queries(50) == 0
+    # the cap is taken on the decimal as written, not its binary approximation
+    assert OracleBudget(fraction=0.29).max_queries(100) == 29
+    assert OracleBudget(fraction=0.57).max_queries(100) == 57
     with pytest.raises(ValueError):
         OracleBudget(fraction=-0.1)
     with pytest.raises(ValueError):

@@ -81,6 +81,15 @@ def test_type_errors_name_the_key():
         config_from_mapping(small_mapping(**{"dataset.scale": "perhaps"}))
 
 
+@pytest.mark.parametrize(
+    "key", ["noise.std", "dataset.separation", "classifier.mlp_learning_rate", "oracle.fraction"]
+)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(key, raw):
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)}: expected a finite number"):
+        config_from_mapping(small_mapping(**{key: raw}))
+
+
 def test_variant_and_source_validation():
     with pytest.raises(ConfigError, match="framework.variant"):
         config_from_mapping(small_mapping(**{"framework.variant": "psychic"}))
@@ -281,6 +290,23 @@ def test_matrix_expands_variants_times_noise_levels():
     }
 
 
+@pytest.mark.parametrize(
+    "variants, noise_levels, message",
+    [
+        ("rad,rad", "0.3", "matrix.variants: rad"),
+        ("rad, voting", "0.3,0.30", "matrix.noise_levels: 0.3"),
+        ("no_sel", "0.4, 4e-1", "matrix.noise_levels: 0.4"),
+    ],
+)
+def test_matrix_rejects_repeated_cells(variants, noise_levels, message):
+    mapping = small_mapping(**{
+        "matrix.variants": variants,
+        "matrix.noise_levels": noise_levels,
+    })
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        expand_matrix(mapping)
+
+
 def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
     mapping = small_mapping(**{
         "matrix.variants": "rad, no_sel, full_clean",
@@ -336,10 +362,26 @@ def test_failed_repetition_does_not_stop_the_rest(monkeypatch):
 
     monkeypatch.setattr(harness, "run_single", flaky)
     config = config_from_mapping(small_mapping(**{"run.repetitions": "3"}))
-    outcome = harness.run_experiment(config, write_files=False)
+    outcome = harness.run_experiment(config)
     assert calls == [0, 1, 2]
     assert outcome.summary.repetitions == 2
     assert len(outcome.errors) == 1
+
+
+def test_experiment_returns_errors_when_every_repetition_fails(tmp_path, monkeypatch):
+    def failing(config, repetition):
+        raise RepetitionError(repetition, 0, "step", RuntimeError("boom"))
+
+    monkeypatch.setattr(harness, "run_single", failing)
+    out = tmp_path / "out"
+    config = config_from_mapping(small_mapping(**{
+        "run.repetitions": "2",
+        "run.output_dir": str(out),
+    }))
+    outcome = run_experiment(config)
+    assert outcome.results == [] and outcome.summary is None
+    assert [e.repetition for e in outcome.errors] == [0, 1]
+    assert not out.exists()
 
 
 def test_purity_audit_catches_a_leak():
@@ -397,6 +439,46 @@ def test_cli_matrix_prints_comparison(tmp_path, capsys):
     assert code == 0
     assert captured.out.splitlines()[0].startswith("variant")
     assert (out / "comparison.txt").is_file()
+
+
+RUN_ARGS = ["--run.repetitions=2"]
+MATRIX_ARGS = ["--matrix.variants=voting,no_sel", "--matrix.noise_levels=0.3"]
+
+
+@pytest.mark.parametrize(
+    "command, extra, failing, expected_code",
+    [
+        ("run", RUN_ARGS, (), 0),
+        ("run", RUN_ARGS, (("voting", 0),), 1),
+        ("run", RUN_ARGS, (("voting", 0), ("voting", 1)), 2),
+        ("matrix", MATRIX_ARGS, (), 0),
+        ("matrix", MATRIX_ARGS, (("voting", 0),), 1),
+        ("matrix", MATRIX_ARGS, (("voting", 0), ("no_sel", 0)), 2),
+    ],
+)
+def test_cli_exit_codes_match_for_run_and_matrix(
+    tmp_path, capsys, monkeypatch, command, extra, failing, expected_code
+):
+    real = harness.run_single
+
+    def flaky(config, repetition):
+        if (config.variant, repetition) in failing:
+            raise RepetitionError(repetition, 1, "step", RuntimeError("boom"))
+        return real(config, repetition)
+
+    monkeypatch.setattr(harness, "run_single", flaky)
+    out = tmp_path / "out"
+    code = cli_main([command, "--config", str(write_config(tmp_path)), *extra,
+                     f"--run.output_dir={out}"])
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.err.count("error: variant=") == len(failing)
+    for variant, repetition in failing:
+        assert f"error: variant={variant} noise=0.3: repetition {repetition}," in captured.err
+    files_written = expected_code < 2
+    assert (out / "summary.txt").is_file() == files_written
+    assert (out / "comparison.txt").is_file() == files_written
+    assert (captured.out != "") == files_written
 
 
 def test_cli_gen_synthetic_produces_loadable_csv(tmp_path, capsys):
