@@ -44,8 +44,8 @@ SELECTION_RULES = {"no_sel": no_sel, "opt_sel": opt_sel, "full_clean": full_clea
 def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Apply the state's selection rule to one arrival, then retrain if the pool grew."""
     selected = SELECTION_RULES[state.variant](batch)
-    state.clean_pool.extend(selected)
+    state.add_to_pool(selected)
     if len(state.clean_pool) != state.pool_size_at_last_train:
-        state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
+        state.classifier = train_model(state.classifier_spec, state.pool, state.rng)
         state.pool_size_at_last_train = len(state.clean_pool)
     return state, state.report(batch, selected)

@@ -10,8 +10,9 @@ Any config key can be overridden on the command line as ``--key=value``;
 overrides are applied before the config is type-checked.
 
 ``run`` is a matrix of one cell and prints summary lines instead of the
-comparison table. Exit codes: 2 when no repetition completed (or on a config
-or IO error), 1 when some repetitions failed, 0 otherwise.
+comparison table; it rejects the ``matrix.*`` keys rather than ignore them.
+Exit codes: 2 when no repetition completed (or on a config or IO error), 1
+when some repetitions failed, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
+            matrix_keys = sorted(key for key in mapping if key.startswith("matrix."))
+            if matrix_keys:
+                raise harness.ConfigError(
+                    f"{', '.join(matrix_keys)}: 'run' runs one variant at one noise "
+                    "level; use 'cleanstream matrix' to run the matrix keys"
+                )
             configs = [harness.config_from_mapping(mapping)]
         else:
             configs = harness.expand_matrix(mapping)

@@ -30,6 +30,7 @@ from .models import (
     ClassifierModel,
     ClassifierSpec,
     MlpModel,
+    PoolBuffers,
     features_matrix,
     given_labels,
     predict_batch,
@@ -77,7 +78,11 @@ class OracleBudget:
 
 @dataclass
 class FrameworkState:
-    """Mutable per-run state shared by all variants and baselines."""
+    """Mutable per-run state shared by all variants and baselines.
+
+    ``pool`` holds ``clean_pool`` stacked into buffers; both grow only
+    through :meth:`add_to_pool`.
+    """
 
     variant: str
     classifier: ClassifierModel
@@ -91,6 +96,16 @@ class FrameworkState:
     oracle_queries_total: int = 0
     last_training_window: list[LabeledInstance] | None = None
     pool_size_at_last_train: int = 0
+    pool: PoolBuffers = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.pool = PoolBuffers()
+        self.pool.append(self.clean_pool)
+
+    def add_to_pool(self, instances: list[LabeledInstance]) -> None:
+        """Append instances, whose labels are final, to the pool."""
+        self.clean_pool.extend(instances)
+        self.pool.append(instances)
 
     @property
     def inactive_total(self) -> int:
@@ -134,16 +149,17 @@ def initialize(
         )
     state = FrameworkState(
         variant=variant,
-        classifier=train_model(classifier_spec, clean, rng),
+        classifier=None,
         classifier_spec=classifier_spec,
         clean_pool=list(clean),
         rng=rng,
     )
+    state.classifier = train_model(classifier_spec, state.pool, rng)
     if variant in LABEL_MODEL_VARIANTS:
         if label_spec is None:
             raise ValueError(f"variant {variant!r} needs a label-model spec")
         state.label_spec = label_spec
-        state.label_model = train_model(label_spec, clean, rng)
+        state.label_model = train_model(label_spec, state.pool, rng)
     state.pool_size_at_last_train = len(state.clean_pool)
     return state
 
@@ -199,16 +215,16 @@ def _retrain_if_pool_grew(state: FrameworkState) -> None:
     """Retrain both models on the pool, unless nothing was added since last time."""
     if len(state.clean_pool) == state.pool_size_at_last_train:
         return
-    state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
+    state.classifier = train_model(state.classifier_spec, state.pool, state.rng)
     if state.label_model is not None:
-        state.label_model = train_model(state.label_spec, state.clean_pool, state.rng)
+        state.label_model = train_model(state.label_spec, state.pool, state.rng)
     state.pool_size_at_last_train = len(state.clean_pool)
 
 
 def rad_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Base variant: keep what the label model confirms, drop the rest."""
     selected, _, _ = cleanse(state.label_model, batch.instances)
-    state.clean_pool.extend(selected)
+    state.add_to_pool(selected)
     _retrain_if_pool_grew(state)
     return state, state.report(batch, selected)
 
@@ -225,7 +241,7 @@ def voting_step(
     agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
     accepted, rejected = voting_filter(disagreed, preds, state.classifier)
     selected = agreed + accepted
-    state.clean_pool.extend(selected)
+    state.add_to_pool(selected)
     if rejected:
         state.inactive.append(rejected)
         state.inactive.sort(key=len, reverse=True)
@@ -247,7 +263,7 @@ def reprocess_history(state: FrameworkState) -> None:
     for group in state.inactive[:2]:
         preds = predict_batch(state.label_model, group)
         accepted, rejected = voting_filter(group, preds, state.classifier)
-        state.clean_pool.extend(accepted)
+        state.add_to_pool(accepted)
         if rejected:
             survivors.append(rejected)
     state.inactive = state.inactive[2:] + survivors
@@ -285,7 +301,7 @@ def active_step(
         inst.given_label = oracle.answer(inst)
     state.oracle_queries_total += len(queried)
     selected = agreed + accepted + queried
-    state.clean_pool.extend(selected)
+    state.add_to_pool(selected)
     _retrain_if_pool_grew(state)
     return state, state.report(batch, selected, oracle_queries=len(queried))
 
@@ -318,7 +334,7 @@ def slimmed_step(
             state.classifier = train_model(state.classifier_spec, window, state.rng)
 
     selected = agreed + queried
-    state.clean_pool.extend(selected)
+    state.add_to_pool(selected)
     state.prev_oracle_batch = queried
     return state, state.report(batch, selected, oracle_queries=len(queried))
 

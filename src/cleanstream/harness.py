@@ -273,6 +273,16 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
     values = _typed_values(mapping)
     variants = values["matrix.variants"] or [values["framework.variant"]]
     noise_levels = values["matrix.noise_levels"] or [str(values["noise.mean"])]
+    for level in noise_levels:  # checked here, so errors name this key and entry
+        where = f"matrix.noise_levels: entry {level!r}"
+        try:
+            mean = _finite_float(level)
+        except ValueError:
+            raise ConfigError(f"{where}: expected a finite number") from None
+        try:
+            NoiseSpec(mean_level=mean)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     configs = []
     for noise_level in noise_levels:
         for variant in variants:

@@ -56,6 +56,49 @@ def given_labels(instances: list[LabeledInstance]) -> np.ndarray:
     return np.array([inst.given_label for inst in instances], dtype=np.int64)
 
 
+class PoolBuffers:
+    """A training pool's features and given labels, stacked as rows are appended.
+
+    Capacity doubles when full, so each instance is stacked once however often
+    the pool is trained on. ``X`` and ``y`` view the first ``len(self)`` rows.
+    Rows are never changed once appended: a label must be final before its
+    instance joins, and a model trained on a prefix keeps seeing that prefix.
+    """
+
+    def __init__(self) -> None:
+        self._features = np.empty((0, 0))
+        self._labels = np.empty(0, dtype=np.int64)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._features[: self._size]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._labels[: self._size]
+
+    def append(self, instances: list[LabeledInstance]) -> None:
+        if not instances:
+            return
+        rows = features_matrix(instances)
+        end = self._size + len(rows)
+        if end > len(self._labels):
+            capacity = max(end, 2 * len(self._labels))
+            features = np.empty((capacity, rows.shape[1]))
+            labels = np.empty(capacity, dtype=np.int64)
+            if self._size:
+                features[: self._size] = self.X
+                labels[: self._size] = self.y
+            self._features, self._labels = features, labels
+        self._features[self._size : end] = rows
+        self._labels[self._size : end] = given_labels(instances)
+        self._size = end
+
+
 def _squared_distances(
     queries: np.ndarray, points: np.ndarray, points_sq: np.ndarray | None = None
 ) -> np.ndarray:
@@ -87,10 +130,14 @@ class KnnModel:
     is smaller than requested.
     """
 
-    def __init__(self, spec: ClassifierSpec, X: np.ndarray, y: np.ndarray):
+    def __init__(
+        self, spec: ClassifierSpec, X: np.ndarray, y: np.ndarray, pool: PoolBuffers | None = None
+    ):
         self.spec = spec
         self.X = X
         self.y = y
+        # the pool whose first len(y) rows X and y view, if trained on one
+        self.pool = pool
         self.k = min(spec.knn_k, len(y))
         self.num_features = X.shape[1]
         self.trained_on_count = len(y)
@@ -208,18 +255,25 @@ class MlpModel:
 ClassifierModel = KnnModel | CentroidModel | MlpModel
 
 
-def train(spec: ClassifierSpec, instances: list[LabeledInstance], rng) -> ClassifierModel:
-    """Train a fresh model of ``spec.kind`` on the given instances."""
-    if not instances:
+def train(
+    spec: ClassifierSpec, instances: list[LabeledInstance] | PoolBuffers, rng
+) -> ClassifierModel:
+    """Train a fresh model of ``spec.kind`` on a list of instances or a pool.
+
+    A pool is read through views of its buffers, not restacked.
+    """
+    if not len(instances):
         raise ValueError("training set is empty")
-    X = features_matrix(instances)
-    y = given_labels(instances)
+    if isinstance(instances, PoolBuffers):
+        X, y, pool = instances.X, instances.y, instances
+    else:
+        X, y, pool = features_matrix(instances), given_labels(instances), None
     if y.min() < 0 or y.max() >= spec.num_classes:
         raise ValueError(
             f"labels outside 0..{spec.num_classes - 1}: range {y.min()}..{y.max()}"
         )
     if spec.kind == "knn":
-        return KnnModel(spec, X, y)
+        return KnnModel(spec, X, y, pool)
     if spec.kind == "centroid":
         return CentroidModel(spec, X, y)
     model = MlpModel(spec, X.shape[1], rng)
@@ -249,23 +303,101 @@ def predict_batch(model: ClassifierModel, instances: list[LabeledInstance]) -> l
     return [int(p) for p in model.predict_many(X)]
 
 
-def stack_test_set(test: list[LabeledInstance]) -> tuple[np.ndarray, np.ndarray]:
+class StackedTestSet:
+    """A fixed test set, stacked once, that scores a growing pool's kNN models.
+
+    For each test row it keeps the k nearest pool rows folded in so far, as
+    (distance, training index) pairs in index order, where k is the model's.
+    A :class:`KnnModel` trained on a longer prefix of the same pool then
+    costs only the distances to the rows appended since: appended rows have
+    larger indices, so the k smallest by (distance, index) among the kept
+    pairs and the new rows are the model's neighbours, under the same tie
+    rule as ``predict_many``. Each distance is computed once, when its row
+    is folded in. Every other model is scored by ``predict_many``.
+    """
+
+    def __init__(self, X: np.ndarray, truth: np.ndarray):
+        self.X = X
+        self.truth = truth
+        self.pool: PoolBuffers | None = None
+        self.folded = 0
+        self._dist = np.empty((len(X), 0))
+        self._index = np.empty((len(X), 0), dtype=np.int64)
+
+    def predict(self, model: ClassifierModel) -> np.ndarray:
+        if not (
+            isinstance(model, KnnModel)
+            and model.pool is not None
+            and (self.pool is None or self.pool is model.pool)
+            and model.trained_on_count >= self.folded
+            and self._dist.shape[1] == min(model.spec.knn_k, self.folded)
+        ):
+            return model.predict_many(self.X)
+        self.pool = model.pool
+        self._fold(model)
+        labels = model.y[self._index]
+        classes = model.spec.num_classes
+        offsets = classes * np.arange(len(labels))[:, None]
+        votes = np.bincount((labels + offsets).ravel(), minlength=len(labels) * classes)
+        # argmax gives a vote tie to the lowest class
+        return votes.reshape(len(labels), classes).argmax(axis=1)
+
+    def _fold(self, model: KnnModel) -> None:
+        """Merge the model's rows past ``folded`` into each test row's k nearest."""
+        start, stop = self.folded, model.trained_on_count
+        if stop == start:
+            return
+        k, kept = model.k, self._dist.shape[1]
+        width = kept + stop - start  # candidates per test row
+        dist = np.empty((len(self.X), k))
+        index = np.empty((len(self.X), k), dtype=np.int64)
+        rows = max(1, KNN_BLOCK_DISTANCES // width)
+        for lo in range(0, len(self.X), rows):
+            block = slice(lo, lo + rows)
+            queries = self.X[block]
+            # kept pairs, then the new rows: both in index order, so column
+            # order is index order
+            d2 = np.empty((len(queries), width))
+            d2[:, :kept] = self._dist[block]
+            d2[:, kept:] = _squared_distances(
+                queries, model.X[start:stop], model._points_sq[start:stop]
+            )
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+            within = d2 <= kth[:, None]
+            for r in np.flatnonzero(within.sum(axis=1) > k):
+                # a tie at the k-th distance goes to the lowest indices
+                cand = np.flatnonzero(within[r])
+                order = np.argsort(d2[r, cand], kind="stable")
+                within[r, cand[order[k:]]] = False
+            cols = np.nonzero(within)[1].reshape(-1, k)
+            dist[block] = np.take_along_axis(d2, cols, axis=1)
+            new = cols + (start - kept)
+            if kept:
+                old = np.take_along_axis(self._index[block], np.minimum(cols, kept - 1), axis=1)
+                new = np.where(cols < kept, old, new)
+            index[block] = new
+        self._dist, self._index, self.folded = dist, index, stop
+
+
+def stack_test_set(test: list[LabeledInstance]) -> StackedTestSet:
     """A test set's feature matrix and true labels, stacked once for rescoring."""
     if not test:
         raise ValueError("test set is empty")
-    return features_matrix(test), np.array([inst.true_label for inst in test], dtype=np.int64)
+    truth = np.array([inst.true_label for inst in test], dtype=np.int64)
+    return StackedTestSet(features_matrix(test), truth)
 
 
 def evaluate_accuracy(
-    model: ClassifierModel, test: list[LabeledInstance] | tuple[np.ndarray, np.ndarray]
+    model: ClassifierModel, test: list[LabeledInstance] | StackedTestSet
 ) -> float:
     """Fraction of test instances whose prediction equals the *true* label.
 
-    ``test`` is a list of instances, or the pair ``stack_test_set`` made of one.
+    ``test`` is a list of instances, or the set ``stack_test_set`` made of one.
     """
-    X, truth = stack_test_set(test) if isinstance(test, list) else test
-    if X.shape[1] != model.num_features:
+    if isinstance(test, list):
+        test = stack_test_set(test)
+    if test.X.shape[1] != model.num_features:
         raise ValueError(
-            f"expected {model.num_features} features, got {X.shape[1]}"
+            f"expected {model.num_features} features, got {test.X.shape[1]}"
         )
-    return int(np.count_nonzero(model.predict_many(X) == truth)) / len(truth)
+    return int(np.count_nonzero(test.predict(model) == test.truth)) / len(test.truth)

@@ -337,6 +337,8 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
     assert report.selected_count == 3
     assert state.inactive == []
     assert len(state.clean_pool) == 1 + 3  # the rest of the batch is discarded
+    # the oracle's answers reach the pool's label buffer, not just the instances
+    assert state.pool.y.tolist() == [inst.given_label for inst in state.clean_pool] == [0] * 4
 
 
 # ---------------------------------------------------------------------------

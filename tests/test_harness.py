@@ -307,6 +307,24 @@ def test_matrix_rejects_repeated_cells(variants, noise_levels, message):
         expand_matrix(mapping)
 
 
+@pytest.mark.parametrize(
+    "noise_levels, message",
+    [
+        ("0.3,1.5", "matrix.noise_levels: entry '1.5': mean_level must be in [0, 1]"),
+        ("0.3,abc", "matrix.noise_levels: entry 'abc': expected a finite number"),
+        ("inf", "matrix.noise_levels: entry 'inf': expected a finite number"),
+    ],
+)
+def test_matrix_names_the_bad_noise_level(tmp_path, capsys, noise_levels, message):
+    mapping = small_mapping(**{"matrix.noise_levels": noise_levels})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        expand_matrix(mapping)
+    code = cli_main(["matrix", "--config", str(write_config(tmp_path)),
+                     f"--matrix.noise_levels={noise_levels}"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
     mapping = small_mapping(**{
         "matrix.variants": "rad, no_sel, full_clean",
@@ -479,6 +497,25 @@ def test_cli_exit_codes_match_for_run_and_matrix(
     assert (out / "summary.txt").is_file() == files_written
     assert (out / "comparison.txt").is_file() == files_written
     assert (captured.out != "") == files_written
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--matrix.variants=rad,voting"], "matrix.variants"),
+        (["--matrix.noise_levels=0.1,0.5"], "matrix.noise_levels"),
+        (MATRIX_ARGS, "matrix.noise_levels, matrix.variants"),
+    ],
+)
+def test_cli_run_rejects_matrix_keys(tmp_path, capsys, extra, named):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(write_config(tmp_path)), *extra,
+                     f"--run.output_dir={out}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {named}:")
+    assert "cleanstream matrix" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_gen_synthetic_produces_loadable_csv(tmp_path, capsys):

@@ -324,6 +324,93 @@ def test_evaluate_accuracy_reuses_a_stacked_test_set():
         evaluate_accuracy(model, wide)
 
 
+def test_pool_buffers_append_in_place_and_keep_old_views():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, 40)
+    instances = wrap(X, y)
+    pool = models.PoolBuffers()
+    pool.append([])
+    assert len(pool) == 0
+    views = []
+    for start, stop in ((0, 5), (5, 6), (6, 13), (13, 40)):
+        pool.append(instances[start:stop])
+        views.append((stop, pool.X, pool.y))
+        assert len(pool) == stop
+    for stop, view_X, view_y in views:  # a view taken before a doubling still holds its rows
+        np.testing.assert_array_equal(view_X, X[:stop])
+        np.testing.assert_array_equal(view_y, y[:stop])
+    model = train(knn_spec(k=3), pool, np.random.default_rng(0))
+    assert model.pool is pool and model.trained_on_count == 40
+    with pytest.raises(ValueError, match="empty"):
+        train(knn_spec(), models.PoolBuffers(), np.random.default_rng(0))
+
+
+def test_stacked_test_set_folds_match_oracle_over_random_appends(monkeypatch):
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        monkeypatch.setattr(models, "KNN_BLOCK_DISTANCES", int(rng.integers(1, 60)))
+        num_classes = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 9))
+        f = int(rng.integers(1, 4))
+        X = rng.integers(0, 3, size=(int(rng.integers(2, 50)), f)).astype(float)
+        y = rng.integers(0, num_classes, len(X))
+        queries = rng.integers(0, 3, size=(int(rng.integers(1, 12)), f)).astype(float)
+        test = stack_test_set(wrap(queries, np.zeros(len(queries), dtype=int)))
+        pool = models.PoolBuffers()
+        instances = wrap(X, y)
+        spec = knn_spec(k=k, num_classes=num_classes)
+        stop = 0
+        while stop < len(X):
+            stop = min(len(X), stop + int(rng.integers(1, 9)))
+            pool.append(instances[len(pool) : stop])
+            model = train(spec, pool, np.random.default_rng(0))
+            expected = [knn_oracle(X[:stop], y[:stop].tolist(), q, k) for q in queries]
+            assert test.predict(model).tolist() == expected, f"case {case}, {stop} rows"
+            assert test.folded == stop
+
+
+def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 2))
+    y = rng.integers(0, 3, 30)
+    queries = rng.normal(size=(8, 2))
+    test = stack_test_set(wrap(queries, np.zeros(8, dtype=int)))
+    pool, other = models.PoolBuffers(), models.PoolBuffers()
+    pool.append(wrap(X[:20], y[:20]))
+    other.append(wrap(X, y))
+    test.predict(train(knn_spec(k=3), pool, None))
+    assert test.pool is pool and test.folded == 20
+
+    full_calls = []
+    original = KnnModel.predict_many
+
+    def counting(model, q):
+        full_calls.append(model.trained_on_count)
+        return original(model, q)
+
+    monkeypatch.setattr(KnnModel, "predict_many", counting)
+    for model in (
+        train(knn_spec(k=3), other, None),  # another pool
+        train(knn_spec(k=3), wrap(X, y), None),  # no pool
+        train(knn_spec(k=4), pool, None),  # another k
+        train(ClassifierSpec(kind="centroid", num_classes=3), pool, None),
+    ):
+        expected = original(model, queries) if isinstance(model, KnnModel) else None
+        got = test.predict(model)
+        if expected is not None:
+            np.testing.assert_array_equal(got, expected)
+    assert full_calls == [30, 30, 20]
+    assert test.pool is pool and test.folded == 20
+    pool.append(wrap(X[20:], y[20:]))
+    test.predict(train(knn_spec(k=3), pool, None))
+    assert full_calls == [30, 30, 20] and test.folded == 30
+    # a shorter prefix of the same pool than the one folded in
+    shorter = KnnModel(knn_spec(k=3), X[:10], y[:10], pool)
+    np.testing.assert_array_equal(test.predict(shorter), original(shorter, queries))
+    assert full_calls[-1] == 10 and test.folded == 30
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ClassifierSpec(kind="tree", num_classes=3)

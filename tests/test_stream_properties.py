@@ -3,7 +3,8 @@
 Small random streams go through :func:`cleanstream.frameworks.step` for all
 seven kinds, drawing the edge cases that fixed configs rarely reach: a batch
 of one, two classes, ``knn_k`` beyond the pool, an oracle budget of zero and
-all-noise arrivals after a clean initial batch.
+all-noise arrivals after a clean initial batch. After every step the pool's
+stacked buffers must still equal its instances' features and given labels.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from cleanstream import frameworks
 from cleanstream.core import StreamConfig, generate_synthetic, split_stream
 from cleanstream.frameworks import ALL_VARIANTS, GroundTruthOracle, OracleBudget
 from cleanstream.metrics import active_fraction, active_truth_fraction
-from cleanstream.models import ClassifierSpec
+from cleanstream.models import ClassifierSpec, features_matrix, given_labels
 from cleanstream.noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
 
 
@@ -104,6 +105,10 @@ def test_step_keeps_run_invariants_for_every_kind(case):
         assert report.oracle_queries == oracle.calls - calls_before
         assert report.oracle_queries <= budget.max_queries(len(batch.instances))
         assert state.oracle_queries_total == sum(r.oracle_queries for r in reports)
+        # labels are final before an instance joins the pool, so the pool's
+        # buffers, stacked once at append time, still match its instances
+        np.testing.assert_array_equal(state.pool.X, features_matrix(state.clean_pool))
+        np.testing.assert_array_equal(state.pool.y, given_labels(state.clean_pool))
         held = {id(inst) for inst in itertools.chain(state.clean_pool, *state.inactive)}
         assert held <= delivered
         assert not held & test_ids
