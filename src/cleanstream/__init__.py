@@ -24,7 +24,6 @@ from .frameworks import (
     VARIANTS,
     FrameworkState,
     GroundTruthOracle,
-    Oracle,
     OracleBudget,
     cleanse,
     initialize,
@@ -49,7 +48,6 @@ __all__ = [
     "GroundTruthOracle",
     "LabeledInstance",
     "NoiseSpec",
-    "Oracle",
     "OracleBudget",
     "RunResult",
     "RunSummary",

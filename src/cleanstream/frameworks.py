@@ -43,15 +43,8 @@ ALL_VARIANTS = VARIANTS + BASELINE_KINDS
 LABEL_MODEL_VARIANTS = ("rad", "voting", "active")
 
 
-class Oracle:
-    """Answers label queries with the correct class for an instance."""
-
-    def answer(self, instance: LabeledInstance) -> int:
-        raise NotImplementedError
-
-
-class GroundTruthOracle(Oracle):
-    """Simulation oracle: reveals the stored ground-truth label."""
+class GroundTruthOracle:
+    """Simulation oracle: answers a label query with the stored ground truth."""
 
     def answer(self, instance: LabeledInstance) -> int:
         return instance.true_label
@@ -285,7 +278,7 @@ def _sample_within_budget(
 
 
 def active_step(
-    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
+    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
     """Active variant: escalate voting disagreements to the oracle.
 
@@ -307,7 +300,7 @@ def active_step(
 
 
 def slimmed_step(
-    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
+    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
     """Slimmed variant: no label model, no full-pool retraining.
 
@@ -340,7 +333,7 @@ def slimmed_step(
 
 
 def step(
-    state: FrameworkState, batch: Batch, oracle: Oracle, budget: OracleBudget
+    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
 ) -> tuple[FrameworkState, BatchReport]:
     """Run one arrival through the state's variant or baseline."""
     if state.variant == "rad":

@@ -190,6 +190,13 @@ class MlpModel:
     calling it again warm-starts rather than reinitialising. The output layer
     is always ``num_classes`` wide, even when the training data is missing
     some classes.
+
+    Every weight and bias is a view of the one flat vector ``params``, and a
+    step's gradients fill views of one vector laid out the same way, so the
+    SGD update is two operations over the whole net. Elementwise, each step
+    does the same float64 operations in the same order as a loop of
+    per-layer ``W -= lr * grad`` updates; only where results are written
+    differs, so the weights are the same to the bit.
     """
 
     def __init__(self, spec: ClassifierSpec, num_features: int, rng):
@@ -197,22 +204,58 @@ class MlpModel:
         self.num_features = num_features
         self.trained_on_count = 0
         dims = [num_features, *spec.mlp_hidden, spec.num_classes]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        self._shapes = list(zip(dims[:-1], dims[1:]))
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in self._shapes))
+        self.weights, self.biases = self._views(self.params)
+        for W, (fan_in, fan_out) in zip(self.weights, self._shapes):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            W[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like ``params``."""
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in self._shapes:
+            stop = start + fan_in * fan_out
+            weights.append(flat[start:stop].reshape(fan_in, fan_out))
+            biases.append(flat[stop : stop + fan_out])
+            start = stop + fan_out
+        return weights, biases
 
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         activations = [X]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(np.maximum(activations[-1] @ W + b, 0.0))
-        logits = activations[-1] @ self.weights[-1] + self.biases[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        probs = exps / exps.sum(axis=1, keepdims=True)
+            h = np.dot(activations[-1], W)
+            h += b
+            activations.append(np.maximum(h, 0.0, out=h))
+        probs = np.dot(activations[-1], self.weights[-1])
+        probs += self.biases[-1]
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         return activations, probs
+
+    def _gradients(
+        self,
+        X: np.ndarray,
+        targets: np.ndarray,
+        grads_w: list[np.ndarray],
+        grads_b: list[np.ndarray],
+    ) -> None:
+        """Write the mean cross-entropy gradients for one batch into the views.
+
+        ``targets`` is the batch's one-hot labels. Subtracting its zeros
+        leaves every probability unchanged, as indexing out the true class
+        would.
+        """
+        activations, delta = self._forward(X)
+        delta -= targets
+        delta /= len(X)
+        for layer in range(len(self.weights) - 1, -1, -1):
+            np.dot(activations[layer].T, delta, out=grads_w[layer])
+            delta.sum(axis=0, out=grads_b[layer])
+            if layer:
+                delta = np.dot(delta, self.weights[layer].T)
+                delta *= activations[layer] > 0.0
 
     def predict_proba(self, queries: np.ndarray) -> np.ndarray:
         return self._forward(queries)[1]
@@ -223,32 +266,32 @@ class MlpModel:
     def loss_and_grads(
         self, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-        """Mean cross-entropy and its analytic gradients for one batch."""
-        activations, probs = self._forward(X)
-        n = len(X)
-        loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer:
-                delta = (delta @ self.weights[layer].T) * (activations[layer] > 0.0)
+        """Mean cross-entropy and its analytic gradients for one batch.
+
+        The gradients are those a ``fit`` step takes, in arrays of their own
+        that a later call leaves alone.
+        """
+        probs = self.predict_proba(X)
+        loss = float(-np.log(probs[np.arange(len(X)), y] + 1e-300).mean())
+        grads_w, grads_b = self._views(np.empty_like(self.params))
+        self._gradients(X, np.eye(self.spec.num_classes)[y], grads_w, grads_b)
         return loss, grads_w, grads_b
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng) -> None:
         spec = self.spec
+        size = spec.mlp_batch_size
+        grads = np.empty_like(self.params)
+        grads_w, grads_b = self._views(grads)
+        onehot = np.eye(spec.num_classes)
         for _ in range(spec.mlp_epochs):
             order = rng.permutation(len(X))
-            for start in range(0, len(X), spec.mlp_batch_size):
-                idx = order[start : start + spec.mlp_batch_size]
-                _, grads_w, grads_b = self.loss_and_grads(X[idx], y[idx])
-                for layer in range(len(self.weights)):
-                    self.weights[layer] -= spec.mlp_learning_rate * grads_w[layer]
-                    self.biases[layer] -= spec.mlp_learning_rate * grads_b[layer]
+            # gathered once per epoch, so each step takes plain slices
+            X_epoch, targets = X[order], onehot[y[order]]
+            for start in range(0, len(X), size):
+                stop = start + size
+                self._gradients(X_epoch[start:stop], targets[start:stop], grads_w, grads_b)
+                grads *= spec.mlp_learning_rate
+                self.params -= grads
         self.trained_on_count += len(y)
 
 

@@ -14,7 +14,6 @@ import cleanstream.frameworks as frameworks
 from cleanstream.core import Batch, LabeledInstance, StreamConfig, generate_synthetic, split_stream
 from cleanstream.frameworks import (
     GroundTruthOracle,
-    Oracle,
     OracleBudget,
     cleanse,
     initialize,
@@ -296,13 +295,13 @@ def test_budget_sampling_is_a_uniform_subset_in_batch_order():
     assert [i.uid for i in again] == uids
 
 
-class CountingOracle(Oracle):
+class CountingOracle(GroundTruthOracle):
     def __init__(self):
         self.asked: list[int] = []
 
     def answer(self, instance):
         self.asked.append(instance.uid)
-        return instance.true_label
+        return super().answer(instance)
 
 
 def test_active_step_queries_only_double_disagreements(monkeypatch):

@@ -220,6 +220,82 @@ def test_mlp_gradients_match_finite_differences():
     assert worst <= 1e-4, f"worst relative gradient error {worst:.2e} over {checked} params"
 
 
+def test_mlp_loss_and_grads_returns_arrays_a_later_call_leaves_alone():
+    rng = np.random.default_rng(78)
+    model = MlpModel(mlp_spec(num_classes=3, mlp_hidden=(5,)), num_features=4, rng=rng)
+    X = rng.normal(size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    _, grads_w, grads_b = model.loss_and_grads(X, y)
+    kept = [g.copy() for g in grads_w + grads_b]
+    model.weights[0][0, 0] += 0.5
+    _, again_w, again_b = model.loss_and_grads(X[::-1], y[::-1])
+    assert all(g.tobytes() == k.tobytes() for g, k in zip(grads_w + grads_b, kept))
+    assert any(a.tobytes() != k.tobytes() for a, k in zip(again_w + again_b, kept))
+
+
+def reference_fit(model: MlpModel, X: np.ndarray, y: np.ndarray, rng) -> None:
+    """The per-layer SGD loop ``MlpModel.fit`` replaced, kept as its oracle."""
+    spec = model.spec
+
+    def forward(batch):
+        activations = [batch]
+        for W, b in zip(model.weights[:-1], model.biases[:-1]):
+            activations.append(np.maximum(activations[-1] @ W + b, 0.0))
+        logits = activations[-1] @ model.weights[-1] + model.biases[-1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exps = np.exp(shifted)
+        return activations, exps / exps.sum(axis=1, keepdims=True)
+
+    def loss_and_grads(batch, labels):
+        activations, probs = forward(batch)
+        n = len(batch)
+        loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
+        delta = probs.copy()
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+        grads_w = [np.empty(0)] * len(model.weights)
+        grads_b = [np.empty(0)] * len(model.biases)
+        for layer in range(len(model.weights) - 1, -1, -1):
+            grads_w[layer] = activations[layer].T @ delta
+            grads_b[layer] = delta.sum(axis=0)
+            if layer:
+                delta = (delta @ model.weights[layer].T) * (activations[layer] > 0.0)
+        return loss, grads_w, grads_b
+
+    for _ in range(spec.mlp_epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), spec.mlp_batch_size):
+            idx = order[start : start + spec.mlp_batch_size]
+            _, grads_w, grads_b = loss_and_grads(X[idx], y[idx])
+            for layer in range(len(model.weights)):
+                model.weights[layer] -= spec.mlp_learning_rate * grads_w[layer]
+                model.biases[layer] -= spec.mlp_learning_rate * grads_b[layer]
+    model.trained_on_count += len(y)
+
+
+@pytest.mark.parametrize("hidden", [(1,), (8,), (28, 28), (4, 3, 5)])
+@pytest.mark.parametrize("num_classes", [2, 4, 5])
+@pytest.mark.parametrize("n, batch_size", [(1, 32), (23, 5), (10, 32)])
+def test_mlp_fit_is_bit_identical_to_the_per_layer_loop(hidden, num_classes, n, batch_size):
+    rng = np.random.default_rng(1000 * n + 10 * num_classes + len(hidden))
+    X = rng.normal(size=(n, 7)) * 3
+    # the top class never occurs, so its output column is trained on absence only
+    y = rng.integers(0, num_classes - 1, size=n)
+    spec = mlp_spec(
+        num_classes=num_classes, mlp_hidden=hidden, mlp_epochs=3,
+        mlp_learning_rate=0.05, mlp_batch_size=batch_size,
+    )
+    fused = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
+    looped = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
+    # a second fit with a new rng warm-starts from the first one's weights
+    for seed in (2, 3):
+        fused.fit(X, y, np.random.default_rng(seed))
+        reference_fit(looped, X, y, np.random.default_rng(seed))
+        for a, b in zip(fused.weights + fused.biases, looped.weights + looped.biases):
+            assert a.tobytes() == b.tobytes()
+    assert fused.trained_on_count == looped.trained_on_count == 2 * n
+
+
 def test_mlp_learns_separated_blobs():
     rng = np.random.default_rng(0)
     n = 120

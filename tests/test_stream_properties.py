@@ -3,8 +3,11 @@
 Small random streams go through :func:`cleanstream.frameworks.step` for all
 seven kinds, drawing the edge cases that fixed configs rarely reach: a batch
 of one, two classes, ``knn_k`` beyond the pool, an oracle budget of zero and
-all-noise arrivals after a clean initial batch. After every step the pool's
-stacked buffers must still equal its instances' features and given labels.
+all-noise arrivals after a clean initial batch, on well separated or
+overlapping classes. After every step the pool's stacked buffers must still
+equal its instances' features and given labels. Fixed overlapping streams
+make sure that ``active`` and ``slimmed`` meet oracle answers that change a
+label, which that check exists to catch.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +30,11 @@ from cleanstream.noise import NoiseSpec, draw_batch_noise_level, inject_symmetri
 class CountingOracle(GroundTruthOracle):
     def __init__(self):
         self.calls = 0
+        self.relabels = 0  # answers that differ from the given label
 
     def answer(self, instance):
         self.calls += 1
+        self.relabels += instance.given_label != instance.true_label
         return super().answer(instance)
 
 
@@ -64,6 +70,7 @@ def streams(draw):
     )
     return {
         "variant": draw(st.sampled_from(ALL_VARIANTS)),
+        "separation": draw(st.sampled_from([0.5, 3.0])),
         "stream": stream,
         "noise": noise,
         "initial_clean": all_noise or draw(st.booleans()),
@@ -73,18 +80,17 @@ def streams(draw):
     }
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=streams())
-def test_step_keeps_run_invariants_for_every_kind(case):
+def run_and_check(case) -> CountingOracle:
+    """Step through the case's stream, checking the invariants after each arrival."""
     stream, noise, budget = case["stream"], case["noise"], case["budget"]
     rng = np.random.default_rng(stream.seed)
     initial, arrivals, test = split_stream(
-        generate_synthetic(stream, separation=3.0), stream, rng
+        generate_synthetic(stream, separation=case["separation"]), stream, rng
     )
     if not case["initial_clean"]:
         level = draw_batch_noise_level(noise, rng)
         inject_symmetric_noise(initial, level, stream.num_classes, rng)
-    assume(any(inst.is_clean for inst in initial.instances))
+        assume(any(inst.is_clean for inst in initial.instances))
     state = frameworks.initialize(
         case["variant"], initial, case["label_spec"], case["classifier_spec"], rng
     )
@@ -115,3 +121,31 @@ def test_step_keeps_run_invariants_for_every_kind(case):
         assert active_fraction(reports, stream.batch_size) >= active_truth_fraction(
             reports, stream.batch_size
         )
+    return oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=streams())
+def test_step_keeps_run_invariants_for_every_kind(case):
+    run_and_check(case)
+
+
+@pytest.mark.parametrize("variant", ["active", "slimmed"])
+def test_oracle_relabels_keep_the_pool_buffers_in_step(variant):
+    stream = StreamConfig(
+        num_classes=3, num_features=3, initial_batch_size=12, batch_size=12,
+        num_batches=4, test_size=5, seed=11,
+    )
+    # two different models, so the active variant's label model and
+    # classifier can both disagree with a label and send it to the oracle
+    case = {
+        "variant": variant,
+        "separation": 0.5,
+        "stream": stream,
+        "noise": NoiseSpec(mean_level=0.4, std_dev_mode="absolute", std_dev=0.0, seed=11),
+        "initial_clean": True,
+        "budget": OracleBudget(),
+        "label_spec": ClassifierSpec(kind="centroid", num_classes=3),
+        "classifier_spec": ClassifierSpec(kind="knn", num_classes=3, knn_k=3),
+    }
+    assert run_and_check(case).relabels >= 1
