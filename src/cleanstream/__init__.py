@@ -31,7 +31,7 @@ from .frameworks import (
 )
 from .harness import ExperimentConfig, config_from_mapping, run_experiment, run_matrix, run_single
 from .metrics import BatchReport, RunResult, RunSummary, active_fraction, active_truth_fraction
-from .models import ClassifierSpec, evaluate_accuracy, predict, predict_batch, train
+from .models import ClassifierSpec, evaluate_accuracy, predict_batch, train
 from .noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "initialize",
     "inject_symmetric_noise",
     "load_csv",
-    "predict",
     "predict_batch",
     "run_experiment",
     "run_matrix",

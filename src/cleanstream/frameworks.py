@@ -87,7 +87,6 @@ class FrameworkState:
     inactive: list[list[LabeledInstance]] = field(default_factory=list)
     prev_oracle_batch: list[LabeledInstance] = field(default_factory=list)
     oracle_queries_total: int = 0
-    last_training_window: list[LabeledInstance] | None = None
     pool_size_at_last_train: int = 0
     pool: PoolBuffers = field(init=False)
 
@@ -317,7 +316,6 @@ def slimmed_step(
     state.oracle_queries_total += len(queried)
 
     window = agreed + queried + state.prev_oracle_batch
-    state.last_training_window = window
     if window:
         if isinstance(state.classifier, MlpModel):
             state.classifier.fit(

@@ -142,29 +142,63 @@ class KnnModel:
         self.num_features = X.shape[1]
         self.trained_on_count = len(y)
         self._points_sq = np.einsum("ij,ij->i", X, X)
-        # float32 counts stay exact integers below 2^24 voters, at half the
-        # product's memory traffic
-        vote_type = np.float32 if len(y) < 1 << 24 else np.float64
-        self._onehot = np.zeros((len(y), spec.num_classes), dtype=vote_type)
-        self._onehot[np.arange(len(y)), y] = 1
 
     def predict_many(self, queries: np.ndarray) -> np.ndarray:
-        out = np.empty(len(queries), dtype=np.int64)
-        k = self.k
-        rows = max(1, KNN_BLOCK_DISTANCES // len(self.y))
-        for start in range(0, len(queries), rows):
-            d2 = _squared_distances(queries[start : start + rows], self.X, self._points_sq)
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            # every point at or inside the k-th distance votes; that is exactly
-            # the k nearest unless a tie at the k-th distance lets more in
-            within = d2 <= kth[:, None]
-            votes = within.astype(self._onehot.dtype) @ self._onehot
-            for r in np.flatnonzero(votes.sum(axis=1) > k):
+        none = np.empty((len(queries), 0))
+        _, index = _fold(self, queries, none, none.astype(np.int64), 0)
+        return _vote(self.y[index], self.spec.num_classes)
+
+
+def _fold(
+    model: KnnModel, queries: np.ndarray, dist: np.ndarray, index: np.ndarray, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the model's rows from ``start`` on into each query's k nearest.
+
+    ``dist`` and ``index`` hold each query's k nearest (distance, training
+    index) pairs among the rows before ``start``, in index order, and have
+    no columns for a fresh search. The new rows have larger indices, so the
+    k smallest by (distance, index) of the kept pairs and the new rows are
+    the k nearest of all the model's rows, returned the same way.
+    """
+    stop, k, kept = model.trained_on_count, model.k, dist.shape[1]
+    width = kept + stop - start  # candidates per query
+    out_dist = np.empty((len(queries), k))
+    out_index = np.empty((len(queries), k), dtype=np.int64)
+    points, points_sq = model.X[start:stop], model._points_sq[start:stop]
+    rows = max(1, KNN_BLOCK_DISTANCES // width)
+    for lo in range(0, len(queries), rows):
+        block = slice(lo, lo + rows)
+        d2 = _squared_distances(queries[block], points, points_sq)
+        if kept:
+            # kept pairs, then the new rows: both in index order, so column
+            # order is index order
+            d2 = np.concatenate((dist[block], d2), axis=1)
+        # copied, so that the partitioned block is freed before the next one
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+        # every candidate at or inside the k-th distance: at least k per row
+        within = d2 <= kth[:, None]
+        flat = np.flatnonzero(within)
+        if len(flat) > len(d2) * k:
+            # a tie at the k-th distance let more in: the lowest indices win
+            for r in np.flatnonzero(within.sum(axis=1) > k):
                 cand = np.flatnonzero(within[r])
                 order = np.argsort(d2[r, cand], kind="stable")
-                votes[r] = np.bincount(self.y[cand[order[:k]]], minlength=votes.shape[1])
-            out[start : start + len(d2)] = votes.argmax(axis=1)
-        return out
+                within[r, cand[order[k:]]] = False
+            flat = np.flatnonzero(within)
+        cols = (flat % width).reshape(-1, k)
+        out_dist[block] = np.take_along_axis(d2, cols, axis=1)
+        out_index[block] = cols + (start - kept)
+        if kept:
+            old = np.take_along_axis(index[block], np.minimum(cols, kept - 1), axis=1)
+            np.copyto(out_index[block], old, where=cols < kept)
+    return out_dist, out_index
+
+
+def _vote(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Each row's most frequent label; a tie goes to the lowest class."""
+    offsets = num_classes * np.arange(len(labels))[:, None]
+    votes = np.bincount((labels + offsets).ravel(), minlength=len(labels) * num_classes)
+    return votes.reshape(len(labels), num_classes).argmax(axis=1)
 
 
 class CentroidModel:
@@ -324,16 +358,6 @@ def train(
     return model
 
 
-def predict(model: ClassifierModel, features: np.ndarray) -> int:
-    """Predict one instance; rejects feature vectors of the wrong length."""
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.shape != (model.num_features,):
-        raise ValueError(
-            f"expected {model.num_features} features, got shape {arr.shape}"
-        )
-    return int(model.predict_many(arr[None, :])[0])
-
-
 def predict_batch(model: ClassifierModel, instances: list[LabeledInstance]) -> list[int]:
     """Predict classes for many instances at once (order preserved)."""
     if not instances:
@@ -351,12 +375,10 @@ class StackedTestSet:
 
     For each test row it keeps the k nearest pool rows folded in so far, as
     (distance, training index) pairs in index order, where k is the model's.
-    A :class:`KnnModel` trained on a longer prefix of the same pool then
-    costs only the distances to the rows appended since: appended rows have
-    larger indices, so the k smallest by (distance, index) among the kept
-    pairs and the new rows are the model's neighbours, under the same tie
-    rule as ``predict_many``. Each distance is computed once, when its row
-    is folded in. Every other model is scored by ``predict_many``.
+    A :class:`KnnModel` trained on a longer prefix of the same pool continues
+    the fold that ``predict_many`` starts from nothing, with only the rows
+    appended since, so each distance is computed once. Every other model is
+    scored by ``predict_many``.
     """
 
     def __init__(self, X: np.ndarray, truth: np.ndarray):
@@ -377,49 +399,10 @@ class StackedTestSet:
         ):
             return model.predict_many(self.X)
         self.pool = model.pool
-        self._fold(model)
-        labels = model.y[self._index]
-        classes = model.spec.num_classes
-        offsets = classes * np.arange(len(labels))[:, None]
-        votes = np.bincount((labels + offsets).ravel(), minlength=len(labels) * classes)
-        # argmax gives a vote tie to the lowest class
-        return votes.reshape(len(labels), classes).argmax(axis=1)
-
-    def _fold(self, model: KnnModel) -> None:
-        """Merge the model's rows past ``folded`` into each test row's k nearest."""
-        start, stop = self.folded, model.trained_on_count
-        if stop == start:
-            return
-        k, kept = model.k, self._dist.shape[1]
-        width = kept + stop - start  # candidates per test row
-        dist = np.empty((len(self.X), k))
-        index = np.empty((len(self.X), k), dtype=np.int64)
-        rows = max(1, KNN_BLOCK_DISTANCES // width)
-        for lo in range(0, len(self.X), rows):
-            block = slice(lo, lo + rows)
-            queries = self.X[block]
-            # kept pairs, then the new rows: both in index order, so column
-            # order is index order
-            d2 = np.empty((len(queries), width))
-            d2[:, :kept] = self._dist[block]
-            d2[:, kept:] = _squared_distances(
-                queries, model.X[start:stop], model._points_sq[start:stop]
-            )
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-            within = d2 <= kth[:, None]
-            for r in np.flatnonzero(within.sum(axis=1) > k):
-                # a tie at the k-th distance goes to the lowest indices
-                cand = np.flatnonzero(within[r])
-                order = np.argsort(d2[r, cand], kind="stable")
-                within[r, cand[order[k:]]] = False
-            cols = np.nonzero(within)[1].reshape(-1, k)
-            dist[block] = np.take_along_axis(d2, cols, axis=1)
-            new = cols + (start - kept)
-            if kept:
-                old = np.take_along_axis(self._index[block], np.minimum(cols, kept - 1), axis=1)
-                new = np.where(cols < kept, old, new)
-            index[block] = new
-        self._dist, self._index, self.folded = dist, index, stop
+        if model.trained_on_count > self.folded:
+            self._dist, self._index = _fold(model, self.X, self._dist, self._index, self.folded)
+            self.folded = model.trained_on_count
+        return _vote(model.y[self._index], model.spec.num_classes)
 
 
 def stack_test_set(test: list[LabeledInstance]) -> StackedTestSet:

@@ -495,6 +495,16 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
     initial, batches, _ = split_stream(dataset, stream, np.random.default_rng(5))
     spec = ClassifierSpec(kind="knn", num_classes=3, knn_k=3, seed=5)
     state = frameworks.initialize("slimmed", initial, spec, spec, np.random.default_rng(5))
+    # a kNN classifier is refit from scratch on each window, so the window is
+    # what frameworks.train_model receives
+    trained_windows: list[list[LabeledInstance]] = []
+    real_train = frameworks.train_model
+
+    def recording_train(spec, instances, rng):
+        trained_windows.append(instances)
+        return real_train(spec, instances, rng)
+
+    monkeypatch.setattr(frameworks, "train_model", recording_train)
     oracle = GroundTruthOracle()
     noise_rng = np.random.default_rng(9)
 
@@ -516,7 +526,9 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
             if pred != inst.given_label
         ]
         state, _ = frameworks.step(state, batch, oracle, OracleBudget())
-        window_uids = sorted(inst.uid for inst in state.last_training_window)
+        windows_ok = windows_ok and len(trained_windows) == 1
+        window_uids = sorted(inst.uid for window in trained_windows for inst in window)
+        trained_windows.clear()
         windows_ok = windows_ok and window_uids == sorted(
             agreed_uids + disagreed_uids + previous_uids
         )

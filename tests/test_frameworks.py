@@ -343,7 +343,7 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
 # ---------------------------------------------------------------------------
 # slimmed variant
 
-def small_stream(num_batches=4, batch_size=12, noise=0.4, seed=3):
+def small_stream(num_batches=4, batch_size=12, noise=0.4, seed=3, separation=4.0):
     config = StreamConfig(
         num_classes=3,
         num_features=4,
@@ -353,7 +353,7 @@ def small_stream(num_batches=4, batch_size=12, noise=0.4, seed=3):
         test_size=10,
         seed=seed,
     )
-    dataset = generate_synthetic(config, separation=4.0)
+    dataset = generate_synthetic(config, separation=separation)
     rng = np.random.default_rng(seed)
     initial, arrivals, test = split_stream(dataset, config, rng)
     for batch in arrivals:
@@ -361,10 +361,24 @@ def small_stream(num_batches=4, batch_size=12, noise=0.4, seed=3):
     return initial, arrivals, test
 
 
-def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches():
+def record_training_windows(monkeypatch) -> list[list[int]]:
+    """Record the uids of every window ``frameworks.train_model`` fits from now on."""
+    windows: list[list[int]] = []
+    real_train = frameworks.train_model
+
+    def recording_train(spec, instances, rng):
+        windows.append([i.uid for i in instances])
+        return real_train(spec, instances, rng)
+
+    monkeypatch.setattr(frameworks, "train_model", recording_train)
+    return windows
+
+
+def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches(monkeypatch):
     initial, arrivals, _ = small_stream()
     spec = ClassifierSpec(kind="centroid", num_classes=3)
     state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
+    windows = record_training_windows(monkeypatch)
     oracle = GroundTruthOracle()
     prev_queried: list[int] = []
     for batch in arrivals:
@@ -372,7 +386,8 @@ def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches():
         agreed = [i.uid for i, p in zip(batch.instances, preds) if p == i.given_label]
         disagreed = [i.uid for i, p in zip(batch.instances, preds) if p != i.given_label]
         state, report = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
-        window = sorted(i.uid for i in state.last_training_window)
+        assert len(windows) == 1  # one fresh fit per arrival
+        window = sorted(windows.pop())
         assert window == sorted(agreed + disagreed + prev_queried)
         assert report.oracle_queries == len(disagreed)
         assert report.selected_count == len(batch.instances)  # unlimited budget
@@ -382,18 +397,18 @@ def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches():
     assert state.label_model is None
 
 
-def test_slimmed_oracle_batches_are_trained_on_exactly_twice():
+def test_slimmed_oracle_batches_are_trained_on_exactly_twice(monkeypatch):
     initial, arrivals, _ = small_stream(num_batches=5)
     spec = ClassifierSpec(kind="centroid", num_classes=3)
     state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
+    windows = record_training_windows(monkeypatch)
     oracle = CountingOracle()
-    windows: list[list[int]] = []
     queried_per_arrival: list[list[int]] = []
     for batch in arrivals:
         before = len(oracle.asked)
         state, _ = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
         queried_per_arrival.append(oracle.asked[before:])
-        windows.append([i.uid for i in state.last_training_window])
+        assert len(windows) == len(queried_per_arrival)
     appearances = {}
     for window in windows:
         for uid in window:
@@ -492,6 +507,33 @@ def test_active_with_real_models_keeps_whole_batch_when_unlimited():
         assert report.inactive_total == 0
         assert all(inst.is_clean for inst in batch.instances if inst.uid in set(oracle.asked))
     assert state.oracle_queries_total == total_queries == len(oracle.asked)
+
+
+@pytest.mark.parametrize(
+    "label_kind, classifier_kind, asks",
+    [("knn", "knn", False), ("centroid", "centroid", False), ("centroid", "knn", True)],
+)
+def test_active_asks_the_oracle_only_when_its_two_models_differ(
+    label_kind, classifier_kind, asks
+):
+    # the same deterministic model trained on the same pool agrees with the
+    # label model's class, so the voting filter relabels every rejection and
+    # nothing is left undecided for the oracle
+    initial, arrivals, _ = small_stream(noise=0.4, separation=0.5)
+    state = initialize(
+        "active",
+        initial,
+        ClassifierSpec(kind=label_kind, num_classes=3, knn_k=3),
+        ClassifierSpec(kind=classifier_kind, num_classes=3, knn_k=3),
+        np.random.default_rng(0),
+    )
+    oracle = CountingOracle()
+    rejected = 0
+    for batch in arrivals:
+        rejected += len(cleanse(state.label_model, batch.instances)[1])
+        state, _ = frameworks.step(state, batch, oracle, OracleBudget())
+    assert rejected > 0  # the label model did reject labels
+    assert (len(oracle.asked) > 0) == asks
 
 
 def test_step_runs_a_baseline_state():

@@ -14,7 +14,6 @@ from cleanstream.models import (
     MlpModel,
     _squared_distances,
     evaluate_accuracy,
-    predict,
     predict_batch,
     stack_test_set,
     train,
@@ -62,7 +61,7 @@ def test_knn_matches_oracle_on_200_random_cases():
         model = train(knn_spec(k=k, num_classes=num_classes), wrap(X, y), rng)
         queries = rng.integers(0, 4, size=(5, f)).astype(float)
         for q in queries:
-            assert predict(model, q) == knn_oracle(X, list(y), q, k), (
+            assert model.predict_many(q[None, :])[0] == knn_oracle(X, list(y), q, k), (
                 f"case {case}: n={n} f={f} k={k}"
             )
 
@@ -129,25 +128,25 @@ def test_knn_tie_breaks_on_training_index_then_class():
     # earlier index must win
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
     model = train(knn_spec(k=1, num_classes=2), wrap(X, [1, 0]), np.random.default_rng(0))
-    assert predict(model, np.zeros(2)) == 1
+    assert model.predict_many(np.zeros((1, 2)))[0] == 1
 
     # a 2-2 vote tie resolves to the lower class index
     X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     model = train(knn_spec(k=4, num_classes=3), wrap(X, [2, 2, 1, 1]), np.random.default_rng(0))
-    assert predict(model, np.array([0.0])) == 1
+    assert model.predict_many(np.array([[0.0]]))[0] == 1
 
 
 def test_knn_k_collapses_to_training_size():
     X = np.array([[0.0], [1.0]])
     model = train(knn_spec(k=10, num_classes=2), wrap(X, [0, 1]), np.random.default_rng(0))
     assert model.k == 2
-    assert predict(model, np.array([0.9])) in (0, 1)
+    assert model.predict_many(np.array([[0.9]]))[0] in (0, 1)
 
 
 def test_knn_predicts_exact_match_with_single_point():
     model = train(knn_spec(k=5, num_classes=4), wrap(np.array([[3.0, 4.0]]), [2]),
                   np.random.default_rng(0))
-    assert predict(model, np.array([100.0, -5.0])) == 2
+    assert model.predict_many(np.array([[100.0, -5.0]]))[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +168,16 @@ def test_centroid_assigns_to_nearest_mean():
     y = [0, 0, 1, 1]
     model = train(ClassifierSpec(kind="centroid", num_classes=2), wrap(X, y),
                   np.random.default_rng(0))
-    assert predict(model, np.array([1.0, 1.0])) == 0
-    assert predict(model, np.array([9.0, 1.0])) == 1
+    assert model.predict_many(np.array([[1.0, 1.0]]))[0] == 0
+    assert model.predict_many(np.array([[9.0, 1.0]]))[0] == 1
 
 
 def test_centroid_handles_missing_classes():
     X = np.array([[0.0], [10.0]])
     model = train(ClassifierSpec(kind="centroid", num_classes=5), wrap(X, [1, 3]),
                   np.random.default_rng(0))
-    assert predict(model, np.array([-1.0])) == 1
-    assert predict(model, np.array([11.0])) == 3
+    assert model.predict_many(np.array([[-1.0]]))[0] == 1
+    assert model.predict_many(np.array([[11.0]]))[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def test_predict_rejects_wrong_feature_length():
     model = train(knn_spec(num_classes=2), wrap(np.zeros((3, 4)), [0, 1, 0]),
                   np.random.default_rng(0))
     with pytest.raises(ValueError, match="features"):
-        predict(model, np.zeros(3))
+        predict_batch(model, wrap(np.zeros((1, 3)), [0]))
 
 
 def test_predict_batch_empty_and_order():
