@@ -21,8 +21,9 @@ class LabeledInstance:
 
     ``true_label`` is ground truth and is consulted only by the noise
     injector, the oracle, the omniscient baselines, and metrics. ``uid`` is
-    a stable per-dataset identity used for partition and purity audits; it
-    survives label mutations.
+    the instance's row in its dataset (-1 if made by hand) and survives label
+    mutations; tests name instances by it. The test-purity audit compares
+    object identity, not ``uid``.
     """
 
     features: np.ndarray
@@ -205,52 +206,18 @@ def generate_synthetic(config: StreamConfig, separation: float = 3.0) -> Dataset
     ]
 
 
-def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
-    """Round non-negative quotas to integers summing to ``total``."""
-    base = np.floor(quotas).astype(int)
-    short = total - int(base.sum())
-    if short > 0:
-        order = np.argsort(-(quotas - base), kind="stable")
-        base[order[:short]] += 1
-    return base
-
-
-def _stratified_order(dataset: Dataset, sizes: list[int], rng) -> list[int]:
-    # Allocate each class proportionally into every split so small classes
-    # stay represented; exact split sizes are restored by largest-remainder
-    # rounding, capped by what each class still holds.
+def _stratified_order(dataset: Dataset, rng) -> np.ndarray:
+    # Spread each class evenly over the whole order: the i-th of a class's n
+    # shuffled instances gets the key (i + 1/2) / n, and a stable sort merges
+    # the classes. In any run of consecutive positions, class c's count is
+    # then within 1 + K * share_c of share_c times the run's length, where
+    # share_c is c's share of the dataset and K the number of classes present.
     labels = np.array([inst.given_label for inst in dataset])
-    classes = np.unique(labels)
-    pools = {}
-    for c in classes:
+    keys = np.empty(len(labels))
+    for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        pools[int(c)] = list(idx[rng.permutation(len(idx))])
-    remaining = {c: len(p) for c, p in pools.items()}
-
-    order: list[int] = []
-    left = sum(remaining.values())
-    for size in sizes:
-        quotas = np.array([size * remaining[int(c)] / left for c in classes])
-        take = _largest_remainder(quotas, size)
-        # cap by availability, then top up from classes with spare instances
-        for j, c in enumerate(classes):
-            take[j] = min(take[j], remaining[int(c)])
-        deficit = size - int(take.sum())
-        j = 0
-        while deficit > 0:
-            c = int(classes[j % len(classes)])
-            if remaining[c] - take[j % len(classes)] > 0:
-                take[j % len(classes)] += 1
-                deficit -= 1
-            j += 1
-        for j, c in enumerate(classes):
-            c = int(c)
-            n = int(take[j])
-            order.extend(pools[c][:n])
-            pools[c] = pools[c][n:]
-            remaining[c] -= n
-        left -= size
-    return order
+        keys[idx[rng.permutation(len(idx))]] = (np.arange(len(idx)) + 0.5) / len(idx)
+    return np.argsort(keys, kind="stable")
 
 
 def split_stream(
@@ -259,8 +226,10 @@ def split_stream(
     """Partition a dataset into the initial batch, arriving batches, and test set.
 
     The partition is disjoint and random under ``rng``; instances beyond
-    ``config.total_instances`` are left unused. Test instances must never be
-    noise-injected downstream.
+    ``config.total_instances`` are left unused. With ``config.stratify`` each
+    split's class counts follow the dataset's class shares (see
+    :func:`_stratified_order`). Test instances must never be noise-injected
+    downstream.
     """
     required = config.total_instances
     if len(dataset) < required:
@@ -270,24 +239,19 @@ def split_stream(
             f"{config.num_batches} x {config.batch_size} + test {config.test_size}), "
             f"dataset has {len(dataset)}"
         )
-    sizes = (
-        [config.initial_batch_size]
-        + [config.batch_size] * config.num_batches
-        + [config.test_size]
-    )
     if config.stratify:
-        order = _stratified_order(dataset, sizes, rng)
+        order = _stratified_order(dataset, rng)
     else:
-        order = list(rng.permutation(len(dataset))[:required])
+        order = rng.permutation(len(dataset))
 
-    cuts = np.cumsum(sizes)
-    picked = [dataset[i] for i in order]
+    picked = [dataset[i] for i in order[:required]]
+    cuts = config.initial_batch_size + config.batch_size * np.arange(config.num_batches + 1)
     initial = Batch(index=0, instances=picked[: cuts[0]])
     arrivals = [
         Batch(index=i + 1, instances=picked[cuts[i] : cuts[i + 1]])
         for i in range(config.num_batches)
     ]
-    test = picked[cuts[-1] - config.test_size : cuts[-1]]
+    test = picked[cuts[-1] :]
     return initial, arrivals, test
 
 

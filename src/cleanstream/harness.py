@@ -121,15 +121,16 @@ _EXPECTED = {
 }
 
 _MODEL_OPTIONS = {
-    "knn_k": (int, 5),
-    "mlp_hidden": (_int_tuple, (28, 28)),
-    "mlp_epochs": (int, 50),
-    "mlp_learning_rate": (_finite_float, 0.01),
-    "mlp_batch_size": (int, 32),
+    "knn_k": (int, ClassifierSpec.knn_k),
+    "mlp_hidden": (_int_tuple, ClassifierSpec.mlp_hidden),
+    "mlp_epochs": (int, ClassifierSpec.mlp_epochs),
+    "mlp_learning_rate": (_finite_float, ClassifierSpec.mlp_learning_rate),
+    "mlp_batch_size": (int, ClassifierSpec.mlp_batch_size),
 }
 
 # Every settable key, mapped to (parser, default). Each section whose option
-# names match a dataclass's fields is built from that section alone.
+# names match a dataclass's fields is built from that section alone; a default
+# the dataclass also declares is read from it.
 CONFIG_KEYS = {
     "dataset.source": (str, "synthetic"),
     "dataset.path": (str, None),
@@ -142,19 +143,19 @@ CONFIG_KEYS = {
     "stream.batch_size": (int, 300),
     "stream.num_batches": (int, 20),
     "stream.test_size": (int, 2000),
-    "stream.seed": (int, 0),
-    "stream.stratify": (_bool, False),
+    "stream.seed": (int, StreamConfig.seed),
+    "stream.stratify": (_bool, StreamConfig.stratify),
     "noise.mean": (_finite_float, 0.3),
-    "noise.std_mode": (str, "relative"),
-    "noise.std": (_finite_float, 0.2),
-    "noise.seed": (int, 0),
+    "noise.std_mode": (str, NoiseSpec.std_dev_mode),
+    "noise.std": (_finite_float, NoiseSpec.std_dev),
+    "noise.seed": (int, NoiseSpec.seed),
     "framework.variant": (str, "rad"),
     "label_model.kind": (str, "mlp"),
     **{f"label_model.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
     "classifier.kind": (str, "knn"),
     **{f"classifier.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
-    "classifier.seed": (int, 0),
-    "oracle.fraction": (_finite_float, 1.0),
+    "classifier.seed": (int, ClassifierSpec.seed),
+    "oracle.fraction": (_finite_float, OracleBudget.fraction),
     "run.repetitions": (int, 1),
     "run.output_dir": (str, None),
     "matrix.variants": (_split_list, ()),
@@ -306,9 +307,16 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
 # running
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
-    if config.dataset_source == "csv":
-        return load_csv(config.dataset_path, config.stream.num_classes)
-    return generate_synthetic(config.stream, separation=config.separation)
+    if config.dataset_source != "csv":
+        return generate_synthetic(config.stream, separation=config.separation)
+    dataset = load_csv(config.dataset_path, config.stream.num_classes)
+    width = config.stream.num_features
+    if dataset and len(dataset[0].features) != width:
+        raise ConfigError(
+            f"stream.num_features = {width}, but {config.dataset_path} has "
+            f"{len(dataset[0].features)} feature columns"
+        )
+    return dataset
 
 
 def _audit_test_purity(state: FrameworkState, test: list[LabeledInstance]) -> None:

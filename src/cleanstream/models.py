@@ -57,46 +57,51 @@ def given_labels(instances: list[LabeledInstance]) -> np.ndarray:
 
 
 class PoolBuffers:
-    """A training pool's features and given labels, stacked as rows are appended.
+    """A training pool's instances, with their features and given labels as rows.
 
     Capacity doubles when full, so each instance is stacked once however often
-    the pool is trained on. ``X`` and ``y`` view the first ``len(self)`` rows.
-    Rows are never changed once appended: a label must be final before its
-    instance joins, and a model trained on a prefix keeps seeing that prefix.
+    the pool is trained on. ``X`` and ``y`` view the first ``len(self)`` rows,
+    row i being ``instances[i]``. Rows are never changed once appended: a label
+    must be final before its instance joins, and a model trained on a prefix
+    keeps seeing that prefix.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, instances: list[LabeledInstance] = ()) -> None:
+        self.instances: list[LabeledInstance] = []
         self._features = np.empty((0, 0))
         self._labels = np.empty(0, dtype=np.int64)
-        self._size = 0
+        self.append(instances)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.instances)
+
+    def __iter__(self):
+        return iter(self.instances)
 
     @property
     def X(self) -> np.ndarray:
-        return self._features[: self._size]
+        return self._features[: len(self)]
 
     @property
     def y(self) -> np.ndarray:
-        return self._labels[: self._size]
+        return self._labels[: len(self)]
 
     def append(self, instances: list[LabeledInstance]) -> None:
         if not instances:
             return
         rows = features_matrix(instances)
-        end = self._size + len(rows)
+        start, end = len(self), len(self) + len(rows)
         if end > len(self._labels):
             capacity = max(end, 2 * len(self._labels))
             features = np.empty((capacity, rows.shape[1]))
             labels = np.empty(capacity, dtype=np.int64)
-            if self._size:
-                features[: self._size] = self.X
-                labels[: self._size] = self.y
+            if start:
+                features[:start] = self.X
+                labels[:start] = self.y
             self._features, self._labels = features, labels
-        self._features[self._size : end] = rows
-        self._labels[self._size : end] = given_labels(instances)
-        self._size = end
+        self._features[start:end] = rows
+        self._labels[start:end] = given_labels(instances)
+        self.instances.extend(instances)
 
 
 def _squared_distances(

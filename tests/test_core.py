@@ -294,6 +294,40 @@ def test_split_partition_property(initial, batch, batches, test, seed, stratify)
     assert len(heldout) == test
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stratified_split_balance_bound(data):
+    # uneven class sizes, a dataset that may hold more than the stream takes,
+    # and random split sizes
+    class_sizes = data.draw(st.lists(st.integers(1, 120), min_size=2, max_size=20))
+    k, total = len(class_sizes), sum(class_sizes)
+    batch = data.draw(st.integers(1, max(1, total // 5)))
+    batches = data.draw(st.integers(0, (total - 2) // batch))
+    room = total - batch * batches
+    initial = data.draw(st.integers(1, room - 1))
+    test = data.draw(st.integers(1, room - initial))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    labels = np.repeat(np.arange(k), class_sizes)[rng.permutation(total)]
+    dataset = [
+        LabeledInstance(features=np.zeros(1), given_label=int(c), true_label=int(c), uid=i)
+        for i, c in enumerate(labels)
+    ]
+    config = StreamConfig(
+        num_classes=k,
+        num_features=1,
+        initial_batch_size=initial,
+        batch_size=batch,
+        num_batches=batches,
+        test_size=test,
+        stratify=True,
+    )
+    share = np.array(class_sizes) / total
+    init, arrivals, heldout = split_stream(dataset, config, rng)
+    for group in [init.instances] + [b.instances for b in arrivals] + [heldout]:
+        counts = np.bincount([inst.given_label for inst in group], minlength=k)
+        assert (np.abs(counts - share * len(group)) <= 1 + k * share + 1e-9).all()
+
+
 # ---------------------------------------------------------------------------
 # feature scaling
 

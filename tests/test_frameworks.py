@@ -337,7 +337,7 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
     assert state.inactive == []
     assert len(state.clean_pool) == 1 + 3  # the rest of the batch is discarded
     # the oracle's answers reach the pool's label buffer, not just the instances
-    assert state.pool.y.tolist() == [inst.given_label for inst in state.clean_pool] == [0] * 4
+    assert state.clean_pool.y.tolist() == [inst.given_label for inst in state.clean_pool] == [0] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ def test_step_runs_a_baseline_state():
         clf_before = state.classifier
         clean_uids = [i.uid for i in batch.instances if i.is_clean]
         state, report = frameworks.step(state, batch, oracle, OracleBudget())
-        assert [i.uid for i in state.clean_pool[pool_before:]] == clean_uids
+        assert [i.uid for i in state.clean_pool.instances[pool_before:]] == clean_uids
         assert report.selected_count == report.selected_true_clean_count == len(clean_uids)
         assert report.oracle_queries == 0
         assert report.inactive_total == 0

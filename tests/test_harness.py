@@ -120,16 +120,26 @@ def test_mlp_hidden_parses_comma_separated_widths():
 def test_readme_config_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
-    documented = set()
+    documented = {}  # key -> its Default cell, as a config file writes it
     for row in table.splitlines()[2:]:
-        key_cell, _, meaning = row.strip("|").split("|")
+        key_cell, default_cell, meaning = row.strip("|").split("|")
         for key in re.findall(r"`([^`]+)`", key_cell):
             if key.endswith(".*"):
-                options = re.findall(r"`(\w+)` \(", meaning)
-                documented.update(key[:-1] + option for option in options)
+                options = re.findall(r"`(\w+)` \(`?([^`)]*)`?\)", meaning)
+                documented.update((key[:-1] + option, value) for option, value in options)
             else:
-                documented.add(key)
-    assert documented == set(CONFIG_KEYS)
+                documented[key] = default_cell.strip().strip("`")
+
+    def written(default) -> str:
+        if default is None:
+            return ""
+        if isinstance(default, bool):
+            return str(default).lower()
+        if isinstance(default, tuple):
+            return ",".join(str(part) for part in default)
+        return str(default)
+
+    assert documented == {key: written(default) for key, (_, default) in CONFIG_KEYS.items()}
 
 
 def test_overrides_layer_on_top():
@@ -207,6 +217,23 @@ def test_csv_dataset_source_round_trip(tmp_path):
     mapping = small_mapping(**{"dataset.source": "csv", "dataset.path": str(path)})
     result = run_single(config_from_mapping(mapping), 0)
     assert len(result.reports) == 3
+
+
+def test_csv_dataset_width_must_match_num_features(tmp_path):
+    from cleanstream.core import generate_synthetic, save_csv
+
+    config = config_from_mapping(small_mapping(**{"stream.num_features": "3"}))
+    path = tmp_path / "stream.csv"
+    save_csv(generate_synthetic(config.stream), path)
+    mapping = small_mapping(**{
+        "dataset.source": "csv",
+        "dataset.path": str(path),
+        "stream.num_features": "20",
+    })
+    with pytest.raises(RepetitionError, match="stage load-dataset") as err:
+        run_single(config_from_mapping(mapping), 0)
+    assert "stream.num_features = 20" in str(err.value)
+    assert "3 feature columns" in str(err.value)
 
 
 EDGE_CASES = {

@@ -113,8 +113,8 @@ def run_and_check(case) -> CountingOracle:
         assert state.oracle_queries_total == sum(r.oracle_queries for r in reports)
         # labels are final before an instance joins the pool, so the pool's
         # buffers, stacked once at append time, still match its instances
-        np.testing.assert_array_equal(state.pool.X, features_matrix(state.clean_pool))
-        np.testing.assert_array_equal(state.pool.y, given_labels(state.clean_pool))
+        np.testing.assert_array_equal(state.clean_pool.X, features_matrix(state.clean_pool))
+        np.testing.assert_array_equal(state.clean_pool.y, given_labels(state.clean_pool))
         held = {id(inst) for inst in itertools.chain(state.clean_pool, *state.inactive)}
         assert held <= delivered
         assert not held & test_ids
