@@ -45,7 +45,6 @@ def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchRepo
     """Apply the state's selection rule to one arrival, then retrain if the pool grew."""
     selected = SELECTION_RULES[state.variant](batch)
     state.clean_pool.append(selected)
-    if len(state.clean_pool) != state.pool_size_at_last_train:
-        state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
-        state.pool_size_at_last_train = len(state.clean_pool)
+    if len(state.clean_pool) != state.classifier.trained_on_count:
+        state.classifier = train_model(state.classifier.spec, state.clean_pool, state.rng)
     return state, state.report(batch, selected)

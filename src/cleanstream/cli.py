@@ -78,9 +78,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{', '.join(matrix_keys)}: 'run' runs one variant at one noise "
                     "level; use 'cleanstream matrix' to run the matrix keys"
                 )
-            configs = [harness.config_from_mapping(mapping)]
-        else:
-            configs = harness.expand_matrix(mapping)
+        configs = harness.expand_matrix(mapping)
         outcomes = harness.run_matrix(configs)
         results = [r for o in outcomes for r in o.results]
         if results:

@@ -63,6 +63,8 @@ class StreamConfig:
     stratify: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         for name in ("num_features", "initial_batch_size", "batch_size", "test_size"):

@@ -74,20 +74,18 @@ class FrameworkState:
     """Mutable per-run state shared by all variants and baselines.
 
     ``clean_pool`` keeps the accepted instances together with their stacked
-    rows; it only grows.
+    rows; it only grows. Each model records its own spec and how many pool
+    rows it was trained on.
     """
 
     variant: str
     classifier: ClassifierModel
-    classifier_spec: ClassifierSpec
     clean_pool: PoolBuffers
     rng: np.random.Generator
     label_model: ClassifierModel | None = None
-    label_spec: ClassifierSpec | None = None
     inactive: list[list[LabeledInstance]] = field(default_factory=list)
     prev_oracle_batch: list[LabeledInstance] = field(default_factory=list)
     oracle_queries_total: int = 0
-    pool_size_at_last_train: int = 0
 
     @property
     def inactive_total(self) -> int:
@@ -129,20 +127,12 @@ def initialize(
             "initial batch has no clean instances; cannot initialize "
             "(set initial.clean = true to deliver it without noise)"
         )
-    state = FrameworkState(
-        variant=variant,
-        classifier=None,
-        classifier_spec=classifier_spec,
-        clean_pool=PoolBuffers(clean),
-        rng=rng,
-    )
-    state.classifier = train_model(classifier_spec, state.clean_pool, rng)
+    pool = PoolBuffers(clean)
+    state = FrameworkState(variant, train_model(classifier_spec, pool, rng), pool, rng)
     if variant in LABEL_MODEL_VARIANTS:
         if label_spec is None:
             raise ValueError(f"variant {variant!r} needs a label-model spec")
-        state.label_spec = label_spec
         state.label_model = train_model(label_spec, state.clean_pool, rng)
-    state.pool_size_at_last_train = len(state.clean_pool)
     return state
 
 
@@ -194,13 +184,15 @@ def voting_filter(
 
 
 def _retrain_if_pool_grew(state: FrameworkState) -> None:
-    """Retrain both models on the pool, unless nothing was added since last time."""
-    if len(state.clean_pool) == state.pool_size_at_last_train:
+    """Retrain both models on the pool, unless nothing was added since last time.
+
+    The classifier was last trained, fresh, on the whole pool as it then was.
+    """
+    if len(state.clean_pool) == state.classifier.trained_on_count:
         return
-    state.classifier = train_model(state.classifier_spec, state.clean_pool, state.rng)
+    state.classifier = train_model(state.classifier.spec, state.clean_pool, state.rng)
     if state.label_model is not None:
-        state.label_model = train_model(state.label_spec, state.clean_pool, state.rng)
-    state.pool_size_at_last_train = len(state.clean_pool)
+        state.label_model = train_model(state.label_model.spec, state.clean_pool, state.rng)
 
 
 def rad_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
@@ -312,7 +304,7 @@ def slimmed_step(
                 features_matrix(window), given_labels(window), state.rng
             )
         else:
-            state.classifier = train_model(state.classifier_spec, window, state.rng)
+            state.classifier = train_model(state.classifier.spec, window, state.rng)
 
     selected = agreed + queried
     state.clean_pool.append(selected)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -268,39 +268,40 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
     """One config per (variant, noise level) pair named by the matrix keys.
 
-    A variant or noise level listed twice would give two cells one result
-    directory, so it is rejected.
+    Each cell is the mapping's own config with its variant and noise mean
+    replaced. A variant or noise level listed twice would give two cells one
+    result directory, so it is rejected.
     """
-    values = _typed_values(mapping)
-    variants = values["matrix.variants"] or [values["framework.variant"]]
-    noise_levels = values["matrix.noise_levels"] or [str(values["noise.mean"])]
-    for level in noise_levels:  # checked here, so errors name this key and entry
+    base = config_from_mapping(mapping)
+    variants = _split_list(mapping.get("matrix.variants", "")) or [base.variant]
+    for variant in variants:
+        if variant not in ALL_VARIANTS:
+            raise ConfigError(
+                f"matrix.variants: entry {variant!r}: expected one of "
+                f"{', '.join(ALL_VARIANTS)}"
+            )
+    noises = []
+    for level in _split_list(mapping.get("matrix.noise_levels", "")):
         where = f"matrix.noise_levels: entry {level!r}"
         try:
             mean = _finite_float(level)
         except ValueError:
             raise ConfigError(f"{where}: expected a finite number") from None
         try:
-            NoiseSpec(mean_level=mean)
+            noises.append(replace(base.noise, mean_level=mean))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    configs = []
-    for noise_level in noise_levels:
-        for variant in variants:
-            cell = dict(mapping)
-            cell["framework.variant"] = variant
-            cell["noise.mean"] = noise_level
-            configs.append(config_from_mapping(cell))
-    first_row = configs[: len(variants)]  # every variant at the first noise level
-    first_column = configs[:: len(variants)]  # the first variant at every noise level
+    noises = noises or [base.noise]
     for key, names in (
-        ("matrix.variants", [c.variant for c in first_row]),
-        ("matrix.noise_levels", [format_noise(c.noise.mean_level) for c in first_column]),
+        ("matrix.variants", variants),
+        ("matrix.noise_levels", [format_noise(noise.mean_level) for noise in noises]),
     ):
         repeated = [name for i, name in enumerate(names) if name in names[:i]]
         if repeated:
             raise ConfigError(f"{key}: {repeated[0]} is listed more than once")
-    return configs
+    return [
+        replace(base, variant=variant, noise=noise) for noise in noises for variant in variants
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.num_classes < 2:
@@ -135,18 +137,15 @@ class KnnModel:
     is smaller than requested.
     """
 
-    def __init__(
-        self, spec: ClassifierSpec, X: np.ndarray, y: np.ndarray, pool: PoolBuffers | None = None
-    ):
+    def __init__(self, spec: ClassifierSpec, pool: PoolBuffers):
         self.spec = spec
-        self.X = X
-        self.y = y
-        # the pool whose first len(y) rows X and y view, if trained on one
         self.pool = pool
-        self.k = min(spec.knn_k, len(y))
-        self.num_features = X.shape[1]
-        self.trained_on_count = len(y)
-        self._points_sq = np.einsum("ij,ij->i", X, X)
+        # views of the rows the pool held when trained; later rows are not seen
+        self.X, self.y = pool.X, pool.y
+        self.k = min(spec.knn_k, len(self.y))
+        self.num_features = self.X.shape[1]
+        self.trained_on_count = len(self.y)
+        self._points_sq = np.einsum("ij,ij->i", self.X, self.X)
 
     def predict_many(self, queries: np.ndarray) -> np.ndarray:
         none = np.empty((len(queries), 0))
@@ -340,22 +339,20 @@ ClassifierModel = KnnModel | CentroidModel | MlpModel
 def train(
     spec: ClassifierSpec, instances: list[LabeledInstance] | PoolBuffers, rng
 ) -> ClassifierModel:
-    """Train a fresh model of ``spec.kind`` on a list of instances or a pool.
+    """Train a fresh model of ``spec.kind`` on a pool, or a list stacked into one.
 
     A pool is read through views of its buffers, not restacked.
     """
-    if not len(instances):
+    pool = instances if isinstance(instances, PoolBuffers) else PoolBuffers(instances)
+    if not len(pool):
         raise ValueError("training set is empty")
-    if isinstance(instances, PoolBuffers):
-        X, y, pool = instances.X, instances.y, instances
-    else:
-        X, y, pool = features_matrix(instances), given_labels(instances), None
+    X, y = pool.X, pool.y
     if y.min() < 0 or y.max() >= spec.num_classes:
         raise ValueError(
             f"labels outside 0..{spec.num_classes - 1}: range {y.min()}..{y.max()}"
         )
     if spec.kind == "knn":
-        return KnnModel(spec, X, y, pool)
+        return KnnModel(spec, pool)
     if spec.kind == "centroid":
         return CentroidModel(spec, X, y)
     model = MlpModel(spec, X.shape[1], rng)
@@ -397,7 +394,6 @@ class StackedTestSet:
     def predict(self, model: ClassifierModel) -> np.ndarray:
         if not (
             isinstance(model, KnnModel)
-            and model.pool is not None
             and (self.pool is None or self.pool is model.pool)
             and model.trained_on_count >= self.folded
             and self._dist.shape[1] == min(model.spec.knn_k, self.folded)

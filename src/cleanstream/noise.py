@@ -29,6 +29,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.mean_level <= 1.0:
             raise ValueError(f"mean_level must be in [0, 1], got {self.mean_level}")
         if self.std_dev_mode not in ("relative", "absolute"):

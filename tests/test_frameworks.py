@@ -43,6 +43,13 @@ class StubModel:
         self.default = default
 
 
+def as_trained(stub: StubModel, spec: ClassifierSpec, instances) -> StubModel:
+    """The stub, recording ``spec`` and the training-set size as a model does."""
+    stub.spec = spec
+    stub.trained_on_count = len(instances)
+    return stub
+
+
 def stub_predict_batch(model, instances):
     if isinstance(model, StubModel):
         return [model.answers.get(inst.uid, model.default) for inst in instances]
@@ -58,7 +65,7 @@ def stubbed_state(monkeypatch, variant, label_stub, clf_stub, initial_instances)
     monkeypatch.setattr(frameworks, "predict_batch", stub_predict_batch)
 
     def fake_train(spec, instances, rng):
-        return label_stub if spec is LABEL_SPEC else clf_stub
+        return as_trained(label_stub if spec is LABEL_SPEC else clf_stub, spec, instances)
 
     monkeypatch.setattr(frameworks, "train_model", fake_train)
     state = initialize(
@@ -146,7 +153,6 @@ def test_slimmed_initialize_has_no_label_model():
         np.random.default_rng(0),
     )
     assert state.label_model is None
-    assert state.label_spec is None
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def test_history_acceptance_joins_pool_without_retraining(monkeypatch):
 
     def counting_train(spec, instances, rng):
         trains.append(len(instances))
-        return label if spec is LABEL_SPEC else clf
+        return as_trained(label if spec is LABEL_SPEC else clf, spec, instances)
 
     monkeypatch.setattr(frameworks, "train_model", counting_train)
     state.inactive = [[make_inst(50, 1)]]
@@ -254,7 +260,7 @@ def test_no_selection_skips_retraining(monkeypatch):
 
     def counting_train(spec, instances, rng):
         trains.append(len(instances))
-        return StubModel()
+        return as_trained(StubModel(), spec, instances)
 
     monkeypatch.setattr(frameworks, "train_model", counting_train)
     clf_before, label_before = state.classifier, state.label_model

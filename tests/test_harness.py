@@ -79,6 +79,10 @@ def test_type_errors_name_the_key():
         config_from_mapping(small_mapping(**{"noise.mean": "lots"}))
     with pytest.raises(ConfigError, match="dataset.scale"):
         config_from_mapping(small_mapping(**{"dataset.scale": "perhaps"}))
+    for key in ("stream.seed", "noise.seed", "classifier.seed"):
+        section = key.partition(".")[0]
+        with pytest.raises(ConfigError, match=rf"^{section}: seed must be >= 0, got -1$"):
+            config_from_mapping(small_mapping(**{key: "-1"}))
 
 
 @pytest.mark.parametrize(
@@ -334,20 +338,30 @@ def test_matrix_rejects_repeated_cells(variants, noise_levels, message):
         expand_matrix(mapping)
 
 
+BAD_MATRIX_ENTRIES = [
+    ({"matrix.noise_levels": "0.3,1.5"},
+     "matrix.noise_levels: entry '1.5': mean_level must be in [0, 1]"),
+    ({"matrix.noise_levels": "0.3,abc"},
+     "matrix.noise_levels: entry 'abc': expected a finite number"),
+    ({"matrix.noise_levels": "inf"}, "matrix.noise_levels: entry 'inf': expected a finite number"),
+    ({"matrix.variants": "rad,bogus"}, "matrix.variants: entry 'bogus': expected one of rad,"),
+    # the base variant is checked even when the matrix replaces it in every cell
+    ({"framework.variant": "bogus", "matrix.variants": "rad"},
+     "framework.variant: expected one of rad,"),
+]
+
+
 @pytest.mark.parametrize(
-    "noise_levels, message",
-    [
-        ("0.3,1.5", "matrix.noise_levels: entry '1.5': mean_level must be in [0, 1]"),
-        ("0.3,abc", "matrix.noise_levels: entry 'abc': expected a finite number"),
-        ("inf", "matrix.noise_levels: entry 'inf': expected a finite number"),
-    ],
+    "overrides, message",
+    BAD_MATRIX_ENTRIES,
+    ids=["-".join([*overrides.values(), message]) for overrides, message in BAD_MATRIX_ENTRIES],
 )
-def test_matrix_names_the_bad_noise_level(tmp_path, capsys, noise_levels, message):
-    mapping = small_mapping(**{"matrix.noise_levels": noise_levels})
+def test_matrix_names_the_bad_noise_level(tmp_path, capsys, overrides, message):
+    """A bad matrix entry, or base key, is reported under its own key."""
     with pytest.raises(ConfigError, match=re.escape(message)):
-        expand_matrix(mapping)
+        expand_matrix(small_mapping(**overrides))
     code = cli_main(["matrix", "--config", str(write_config(tmp_path)),
-                     f"--matrix.noise_levels={noise_levels}"])
+                     *(f"--{key}={value}" for key, value in overrides.items())])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -435,7 +449,9 @@ def test_purity_audit_catches_a_leak():
 
     leaked = LabeledInstance(features=np.zeros(2), given_label=0, true_label=0)
     for pool, inactive in (([leaked], []), ([], [[leaked]])):
-        state = FrameworkState("no_sel", None, None, pool, None, inactive=inactive)
+        state = FrameworkState(
+            "no_sel", classifier=None, clean_pool=pool, rng=None, inactive=inactive
+        )
         with pytest.raises(RuntimeError, match="leak"):
             harness._audit_test_purity(state, [leaked])
 

@@ -452,7 +452,9 @@ def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
     queries = rng.normal(size=(8, 2))
     test = stack_test_set(wrap(queries, np.zeros(8, dtype=int)))
     pool, other = models.PoolBuffers(), models.PoolBuffers()
-    pool.append(wrap(X[:20], y[:20]))
+    pool.append(wrap(X[:10], y[:10]))
+    shorter = KnnModel(knn_spec(k=3), pool)  # keeps seeing only the first 10 rows
+    pool.append(wrap(X[10:20], y[10:20]))
     other.append(wrap(X, y))
     test.predict(train(knn_spec(k=3), pool, None))
     assert test.pool is pool and test.folded == 20
@@ -467,7 +469,7 @@ def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
     monkeypatch.setattr(KnnModel, "predict_many", counting)
     for model in (
         train(knn_spec(k=3), other, None),  # another pool
-        train(knn_spec(k=3), wrap(X, y), None),  # no pool
+        train(knn_spec(k=3), wrap(X, y), None),  # a pool of its own
         train(knn_spec(k=4), pool, None),  # another k
         train(ClassifierSpec(kind="centroid", num_classes=3), pool, None),
     ):
@@ -481,7 +483,6 @@ def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
     test.predict(train(knn_spec(k=3), pool, None))
     assert full_calls == [30, 30, 20] and test.folded == 30
     # a shorter prefix of the same pool than the one folded in
-    shorter = KnnModel(knn_spec(k=3), X[:10], y[:10], pool)
     np.testing.assert_array_equal(test.predict(shorter), original(shorter, queries))
     assert full_calls[-1] == 10 and test.folded == 30
 

@@ -5,7 +5,10 @@ seven kinds, drawing the edge cases that fixed configs rarely reach: a batch
 of one, two classes, ``knn_k`` beyond the pool, an oracle budget of zero and
 all-noise arrivals after a clean initial batch, on well separated or
 overlapping classes. After every step the pool's stacked buffers must still
-equal its instances' features and given labels. Fixed overlapping streams
+equal its instances' features and given labels, and the models must record
+the configured specs and a training set no larger than the pool: the whole
+pool for every kind that retrains on it, save what ``voting`` accepts from
+its history after retraining. Fixed overlapping streams
 make sure that ``active`` and ``slimmed`` meet oracle answers that change a
 label, which that check exists to catch.
 """
@@ -21,7 +24,12 @@ from hypothesis import strategies as st
 
 from cleanstream import frameworks
 from cleanstream.core import StreamConfig, generate_synthetic, split_stream
-from cleanstream.frameworks import ALL_VARIANTS, GroundTruthOracle, OracleBudget
+from cleanstream.frameworks import (
+    ALL_VARIANTS,
+    LABEL_MODEL_VARIANTS,
+    GroundTruthOracle,
+    OracleBudget,
+)
 from cleanstream.metrics import active_fraction, active_truth_fraction
 from cleanstream.models import ClassifierSpec, features_matrix, given_labels
 from cleanstream.noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
@@ -115,6 +123,16 @@ def run_and_check(case) -> CountingOracle:
         # buffers, stacked once at append time, still match its instances
         np.testing.assert_array_equal(state.clean_pool.X, features_matrix(state.clean_pool))
         np.testing.assert_array_equal(state.clean_pool.y, given_labels(state.clean_pool))
+        # the models are the only record of what they were trained on
+        assert state.classifier.spec is case["classifier_spec"]
+        if case["variant"] in LABEL_MODEL_VARIANTS:
+            assert state.label_model.spec is case["label_spec"]
+            assert state.label_model.trained_on_count == state.classifier.trained_on_count
+        if case["variant"] != "slimmed":  # slimmed trains on a window
+            trained = state.classifier.trained_on_count
+            assert trained <= len(state.clean_pool)
+            if case["variant"] != "voting":  # voting's history joins after the retrain
+                assert trained == len(state.clean_pool)
         held = {id(inst) for inst in itertools.chain(state.clean_pool, *state.inactive)}
         assert held <= delivered
         assert not held & test_ids
