@@ -24,6 +24,10 @@ class LabeledInstance:
     the instance's row in its dataset (-1 if made by hand) and survives label
     mutations; tests name instances by it. The test-purity audit compares
     object identity, not ``uid``.
+
+    ``features`` is never written in place: it may be a read-only view of a
+    matrix whose other rows belong to other instances. Code that changes
+    features binds a new array instead.
     """
 
     features: np.ndarray
@@ -196,15 +200,12 @@ def generate_synthetic(config: StreamConfig, separation: float = 3.0) -> Dataset
     labels = np.repeat(np.arange(config.num_classes), counts)
     labels = labels[rng.permutation(total)]
     features = means[labels] + rng.standard_normal((total, config.num_features))
+    # every instance's features are a row of this one matrix, so it is frozen
+    features.flags.writeable = False
 
     return [
-        LabeledInstance(
-            features=features[i].copy(),
-            given_label=int(labels[i]),
-            true_label=int(labels[i]),
-            uid=i,
-        )
-        for i in range(total)
+        LabeledInstance(features=row, given_label=label, true_label=label, uid=i)
+        for i, (row, label) in enumerate(zip(features, labels.tolist()))
     ]
 
 
@@ -268,8 +269,9 @@ def scale_features(
 ) -> None:
     """Rescale each instance's features to [0, 1] under the fitted ranges.
 
-    Constant features map to 0. Each instance gets a fresh array; the source
-    arrays are never mutated.
+    Constant features map to 0. Each instance is bound to a fresh, writable
+    array; the source arrays, which may be read-only views shared with other
+    instances, are never written.
     """
     span = hi - lo
     span = np.where(span == 0, 1.0, span)

@@ -51,7 +51,12 @@ class ClassifierSpec:
 
 
 def features_matrix(instances: list[LabeledInstance]) -> np.ndarray:
-    return np.stack([inst.features for inst in instances]).astype(np.float64)
+    """The instances' features as the rows of one new float64 matrix."""
+    rows = [inst.features for inst in instances]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("feature rows differ in length")
+    # one copy, with no per-row loop in Python
+    return np.concatenate(rows, dtype=np.float64).reshape(len(rows), len(rows[0]))
 
 
 def given_labels(instances: list[LabeledInstance]) -> np.ndarray:
@@ -165,37 +170,56 @@ def _fold(
     the k nearest of all the model's rows, returned the same way.
     """
     stop, k, kept = model.trained_on_count, model.k, dist.shape[1]
-    width = kept + stop - start  # candidates per query
     out_dist = np.empty((len(queries), k))
     out_index = np.empty((len(queries), k), dtype=np.int64)
     points, points_sq = model.X[start:stop], model._points_sq[start:stop]
-    rows = max(1, KNN_BLOCK_DISTANCES // width)
+    rows = max(1, KNN_BLOCK_DISTANCES // (kept + stop - start))
     for lo in range(0, len(queries), rows):
         block = slice(lo, lo + rows)
         d2 = _squared_distances(queries[block], points, points_sq)
-        if kept:
-            # kept pairs, then the new rows: both in index order, so column
-            # order is index order
-            d2 = np.concatenate((dist[block], d2), axis=1)
-        # copied, so that the partitioned block is freed before the next one
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-        # every candidate at or inside the k-th distance: at least k per row
-        within = d2 <= kth[:, None]
-        flat = np.flatnonzero(within)
-        if len(flat) > len(d2) * k:
-            # a tie at the k-th distance let more in: the lowest indices win
-            for r in np.flatnonzero(within.sum(axis=1) > k):
-                cand = np.flatnonzero(within[r])
-                order = np.argsort(d2[r, cand], kind="stable")
-                within[r, cand[order[k:]]] = False
-            flat = np.flatnonzero(within)
-        cols = (flat % width).reshape(-1, k)
-        out_dist[block] = np.take_along_axis(d2, cols, axis=1)
-        out_index[block] = cols + (start - kept)
-        if kept:
-            old = np.take_along_axis(index[block], np.minimum(cols, kept - 1), axis=1)
-            np.copyto(out_index[block], old, where=cols < kept)
+        if kept == k:
+            # a new row loses every tie on index, so it enters a query's k
+            # nearest only strictly inside its k-th kept distance: only such
+            # queries are merged, and the others keep their pairs
+            out_dist[block], out_index[block] = dist[block], index[block]
+            gain = np.flatnonzero(d2.min(axis=1) < dist[block].max(axis=1))
+            d2, block = d2[gain], lo + gain
+        out_dist[block], out_index[block] = _merge(d2, dist[block], index[block], k, start)
     return out_dist, out_index
+
+
+def _merge(
+    d2: np.ndarray, dist: np.ndarray, index: np.ndarray, k: int, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest by (distance, index) of its kept pairs and new rows.
+
+    ``dist``/``index`` are the kept pairs in index order; column j of ``d2``
+    is training row ``start + j``. The result is in index order.
+    """
+    kept = dist.shape[1]
+    if kept:
+        # kept pairs, then the new rows: both in index order, so column
+        # order is index order
+        d2 = np.concatenate((dist, d2), axis=1)
+    width = d2.shape[1]  # candidates per query
+    # copied, so that the partitioned block is freed before the next one
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    # every candidate at or inside the k-th distance: at least k per row
+    within = d2 <= kth[:, None]
+    flat = np.flatnonzero(within)
+    if len(flat) > len(d2) * k:
+        # a tie at the k-th distance let more in: the lowest indices win
+        for r in np.flatnonzero(within.sum(axis=1) > k):
+            cand = np.flatnonzero(within[r])
+            order = np.argsort(d2[r, cand], kind="stable")
+            within[r, cand[order[k:]]] = False
+        flat = np.flatnonzero(within)
+    cols = (flat % width).reshape(-1, k)
+    out_index = cols + (start - kept)
+    if kept:
+        old = np.take_along_axis(index, np.minimum(cols, kept - 1), axis=1)
+        np.copyto(out_index, old, where=cols < kept)
+    return np.take_along_axis(d2, cols, axis=1), out_index
 
 
 def _vote(labels: np.ndarray, num_classes: int) -> np.ndarray:

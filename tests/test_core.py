@@ -13,6 +13,7 @@ from cleanstream.core import (
     LabeledInstance,
     StreamConfig,
     StreamSizeError,
+    _class_means,
     fit_feature_ranges,
     generate_synthetic,
     load_csv,
@@ -156,6 +157,53 @@ def test_generation_is_deterministic_in_seed():
     assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
     assert [x.given_label for x in a] == [y.given_label for y in b]
     assert any(not np.array_equal(x.features, y.features) for x, y in zip(a, c))
+
+
+def _per_row_copy_synthetic(config: StreamConfig, separation: float = 3.0):
+    # reference: the construction that copied each row out of the matrix
+    rng = np.random.default_rng(config.seed)
+    total = config.total_instances
+    means = _class_means(config.num_classes, config.num_features, separation)
+    counts = np.full(config.num_classes, total // config.num_classes)
+    counts[: total % config.num_classes] += 1
+    labels = np.repeat(np.arange(config.num_classes), counts)
+    labels = labels[rng.permutation(total)]
+    features = means[labels] + rng.standard_normal((total, config.num_features))
+    return [
+        LabeledInstance(features=features[i].copy(), given_label=int(labels[i]),
+                        true_label=int(labels[i]), uid=i)
+        for i in range(total)
+    ]
+
+
+@pytest.mark.parametrize("classes, features, seed", [(3, 4, 42), (4, 2, 7), (10, 20, 0)])
+def test_generation_matches_the_per_row_copy_construction(classes, features, seed):
+    config = make_config(num_classes=classes, num_features=features, seed=seed)
+    got, expected = generate_synthetic(config), _per_row_copy_synthetic(config)
+    assert [x.uid for x in got] == [y.uid for y in expected]
+    assert [x.given_label for x in got] == [y.given_label for y in expected]
+    assert [x.true_label for x in got] == [y.true_label for y in expected]
+    assert all(type(x.given_label) is int and type(x.true_label) is int for x in got)
+    for x, y in zip(got, expected):
+        assert x.features.dtype == np.float64
+        np.testing.assert_array_equal(x.features, y.features)
+
+
+def test_generated_rows_are_read_only_and_scaling_rebinds_them():
+    dataset = generate_synthetic(make_config(seed=3))
+    before = [inst.features for inst in dataset]
+    with pytest.raises(ValueError):
+        dataset[0].features[0] = 1.0
+    assert dataset[0].features[0] == before[0][0]
+    lo, hi = fit_feature_ranges(dataset)
+    scale_features(dataset[:10], lo, hi)
+    for inst, old in zip(dataset[:10], before):
+        assert inst.features is not old and inst.features.flags.writeable
+        inst.features[0] = 0.5  # fresh: writing it touches no other instance
+    assert all(inst.features is old for inst, old in zip(dataset[10:], before[10:]))
+    np.testing.assert_array_equal(
+        np.stack(before), np.stack([x.features for x in generate_synthetic(make_config(seed=3))])
+    )
 
 
 def _loo_nearest_neighbour_accuracy(dataset) -> float:

@@ -35,11 +35,15 @@ def knn_spec(k=5, num_classes=3, **kw) -> ClassifierSpec:
 # ---------------------------------------------------------------------------
 # k-NN vs an exhaustive oracle
 
+def knn_oracle_neighbours(X, query, k):
+    """Reference neighbours: the first k training indices by (distance, index)."""
+    dists = np.sqrt(((np.asarray(X) - query) ** 2).sum(axis=1)).tolist()
+    return sorted(range(len(dists)), key=lambda i: (dists[i], i))[:k]
+
+
 def knn_oracle(X, y, query, k):
     """Reference prediction: full sort by (distance, index), then min-count vote."""
-    dists = np.sqrt(((np.asarray(X) - query) ** 2).sum(axis=1)).tolist()
-    ranked = sorted(range(len(dists)), key=lambda i: (dists[i], i))
-    chosen = [y[i] for i in ranked[: min(k, len(y))]]
+    chosen = [y[i] for i in knn_oracle_neighbours(X, query, k)]
     best, best_count = None, -1
     for cls in range(max(y) + 1):
         count = chosen.count(cls)
@@ -399,6 +403,28 @@ def test_evaluate_accuracy_reuses_a_stacked_test_set():
         evaluate_accuracy(model, wide)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int32])
+def test_features_matrix_equals_stacking_the_rows(dtype):
+    rng = np.random.default_rng(8)
+    for n, f in ((1, 1), (3, 5), (257, 20)):
+        rows = (rng.normal(size=(n, f)) * 100).astype(dtype)
+        instances = [LabeledInstance(features=row, given_label=0, true_label=0) for row in rows]
+        got = models.features_matrix(instances)
+        expected = np.stack([inst.features for inst in instances]).astype(np.float64)
+        assert got.dtype == np.float64 and got.shape == (n, f)
+        np.testing.assert_array_equal(got, expected)
+        assert not np.shares_memory(got, rows)
+
+
+def test_features_matrix_rejects_ragged_and_empty_rows():
+    for widths in ((2, 3), (2, 3, 1), (3, 3, 2)):  # (2, 3, 1) fills a 3 x 2 matrix
+        instances = [LabeledInstance(np.ones(w), 0, 0) for w in widths]
+        with pytest.raises(ValueError):
+            models.features_matrix(instances)
+    with pytest.raises(ValueError):
+        models.features_matrix([])
+
+
 def test_pool_buffers_append_in_place_and_keep_old_views():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 3))
@@ -443,6 +469,72 @@ def test_stacked_test_set_folds_match_oracle_over_random_appends(monkeypatch):
             expected = [knn_oracle(X[:stop], y[:stop].tolist(), q, k) for q in queries]
             assert test.predict(model).tolist() == expected, f"case {case}, {stop} rows"
             assert test.folded == stop
+            # the neighbours themselves, so a wrong one with the right label shows
+            for row, q in enumerate(queries):
+                neighbours = sorted(knn_oracle_neighbours(X[:stop], q, k))
+                assert test._index[row].tolist() == neighbours, f"case {case}, {stop} rows"
+                np.testing.assert_array_equal(
+                    test._dist[row], ((X[neighbours] - q) ** 2).sum(axis=1)
+                )
+
+
+def spy_merged_rows(monkeypatch) -> list[int]:
+    """Record how many query rows each call of the fold's merge receives."""
+    merged, original = [], models._merge
+
+    def counting(d2, *args):
+        merged.append(len(d2))
+        return original(d2, *args)
+
+    monkeypatch.setattr(models, "_merge", counting)
+    return merged
+
+
+def test_fold_leaves_out_a_row_at_exactly_the_kth_distance(monkeypatch):
+    merged = spy_merged_rows(monkeypatch)
+    # 1-D: test rows at 0 and 10; k = 2
+    test = stack_test_set(wrap(np.array([[0.0], [10.0]]), [0, 0]))
+    pool = models.PoolBuffers(wrap(np.array([[1.0], [-2.0], [12.0], [9.0]]), [0, 0, 1, 1]))
+    spec = knn_spec(k=2, num_classes=2)
+    assert test.predict(train(spec, pool, None)).tolist() == [0, 1]
+    assert test._index.tolist() == [[0, 1], [2, 3]] and merged == [2]
+    # at exactly row 0's k-th distance (2) and outside row 1's: neither gains it
+    pool.append(wrap(np.array([[2.0]]), [1]))
+    assert test.predict(train(spec, pool, None)).tolist() == [0, 1]
+    assert test._index.tolist() == [[0, 1], [2, 3]] and test._dist.tolist() == [[1, 4], [4, 1]]
+    assert merged == [2, 0]
+    # at row 1's k-th distance again, and strictly inside row 0's: only row 0
+    # merges (its vote then ties, which goes to class 0)
+    pool.append(wrap(np.array([[0.5], [8.0]]), [1, 0]))
+    assert test.predict(train(spec, pool, None)).tolist() == [0, 1]
+    assert test._index.tolist() == [[0, 5], [2, 3]] and merged == [2, 0, 1]
+
+
+def test_fold_merges_every_row_until_k_are_kept(monkeypatch):
+    merged = spy_merged_rows(monkeypatch)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 2))
+    X[7:10] += 100.0  # far from every test row
+    X[10:] = rng.normal(size=(2, 2)) * 0.1  # near the middle of the test rows
+    y = rng.integers(0, 3, 12)
+    queries = rng.normal(size=(6, 2))
+    test = stack_test_set(wrap(queries, np.zeros(6, dtype=int)))
+    pool, spec = models.PoolBuffers(), knn_spec(k=4)
+    before = None
+    for stop, kept in ((2, 2), (3, 3), (7, 4), (10, 4), (12, 4)):
+        pool.append(wrap(X[len(pool) : stop], y[len(pool) : stop]))
+        got = test.predict(train(spec, pool, None))
+        assert got.tolist() == [knn_oracle(X[:stop], y[:stop].tolist(), q, 4) for q in queries]
+        assert test._index.shape == (6, kept)
+        after = [sorted(knn_oracle_neighbours(X[:stop], q, 4)) for q in queries]
+        assert test._index.tolist() == after
+        changed = None if before is None else sum(a != b for a, b in zip(after, before))
+        before = after
+    # with fewer than k kept (pools of 2 and 3, and the fold to 7), every row
+    # merges; with k kept, only the rows whose neighbours change
+    assert merged[:3] == [6, 6, 6]
+    assert merged[3] == 0  # the far rows
+    assert merged[4] == changed and 0 < changed < 6
 
 
 def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
