@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         overrides = _parse_overrides(extras)
-        mapping = harness.apply_overrides(harness.load_config_file(args.config), overrides)
+        mapping = {**harness.load_config_file(args.config), **overrides}
 
         if args.command == "gen-synthetic":
             config = harness.config_from_mapping(mapping)

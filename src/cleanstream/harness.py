@@ -42,7 +42,6 @@ from .metrics import (
     active_fraction,
     active_truth_fraction,
     aggregate_runs,
-    attach_improvements,
     write_reports_csv,
 )
 from .models import ClassifierSpec, evaluate_accuracy, stack_test_set
@@ -182,12 +181,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 def load_config_file(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
-
-
-def apply_overrides(mapping: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
-    merged = dict(mapping)
-    merged.update(overrides)
-    return merged
 
 
 def _typed_values(mapping: dict[str, str]) -> dict:
@@ -415,6 +408,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _against_baselines(summaries: list[RunSummary]):
+    """Each summary with the baselines at its noise level and its gains over them.
+
+    Yields ``(summary, (no_sel, opt_sel, full_clean), improvement,
+    improvement_room)``. A baseline that did not run at that noise level is
+    None; the improvement is the gain over no_sel, the room is full_clean's
+    gain over no_sel, and both are None unless no_sel and full_clean ran.
+    """
+    at = {(s.variant, s.noise_mean): s for s in summaries}
+    for s in summaries:
+        baselines = tuple(
+            at.get((name, s.noise_mean)) for name in ("no_sel", "opt_sel", "full_clean")
+        )
+        no_sel, _, full_clean = baselines
+        if no_sel is None or full_clean is None:
+            yield s, baselines, None, None
+        else:
+            base = no_sel.final_accuracy
+            yield s, baselines, s.final_accuracy - base, full_clean.final_accuracy - base
+
+
 def summary_lines(results: list[RunResult], summaries: list[RunSummary]) -> list[str]:
     lines = []
     for r in results:
@@ -426,7 +440,7 @@ def summary_lines(results: list[RunResult], summaries: list[RunSummary]) -> list
             f"final_A={_fmt(r.final_A)} final_A_truth={_fmt(r.final_A_truth)} "
             f"oracle_queries={r.oracle_queries_total}"
         )
-    for s in summaries:
+    for s, _, improvement, room in _against_baselines(summaries):
         lines.append(
             f"aggregate variant={s.variant} noise={format_noise(s.noise_mean)} "
             f"repetitions={s.repetitions} "
@@ -435,8 +449,7 @@ def summary_lines(results: list[RunResult], summaries: list[RunSummary]) -> list
             f"final_accuracy_variance={_fmt(s.final_accuracy_variance)} "
             f"final_A={_fmt(s.final_A)} final_A_truth={_fmt(s.final_A_truth)} "
             f"mean_oracle_queries={_fmt(s.mean_oracle_queries)} "
-            f"improvement={_fmt(s.improvement)} "
-            f"improvement_room={_fmt(s.improvement_room)}"
+            f"improvement={_fmt(improvement)} improvement_room={_fmt(room)}"
         )
     return lines
 
@@ -454,38 +467,22 @@ COMPARISON_COLUMNS = (
 )
 
 
-def _by_noise(summaries: list[RunSummary]) -> dict[float, dict[str, RunSummary]]:
-    """Summaries grouped by noise level, then keyed by variant."""
-    groups: dict[float, dict[str, RunSummary]] = {}
-    for s in summaries:
-        groups.setdefault(s.noise_mean, {})[s.variant] = s
-    return groups
-
-
 def comparison_lines(summaries: list[RunSummary]) -> list[str]:
     """Fixed-width table relating every variant to the baselines at its noise."""
-    by_noise = _by_noise(summaries)
-
     def cell(value) -> str:
         return "NA" if value is None else f"{value:.4f}"
 
     rows = [COMPARISON_COLUMNS]
-    for s in summaries:
-        anchors = by_noise[s.noise_mean]
-        no_sel = anchors.get("no_sel")
-        opt_sel = anchors.get("opt_sel")
-        full_clean = anchors.get("full_clean")
+    for s, baselines, improvement, room in _against_baselines(summaries):
         rows.append(
             (
                 s.variant,
                 format_noise(s.noise_mean),
                 cell(s.initial_accuracy),
-                cell(no_sel.final_accuracy if no_sel else None),
-                cell(opt_sel.final_accuracy if opt_sel else None),
-                cell(full_clean.final_accuracy if full_clean else None),
+                *(cell(None if b is None else b.final_accuracy) for b in baselines),
                 cell(s.final_accuracy),
-                cell(s.improvement_room),
-                cell(s.improvement),
+                cell(room),
+                cell(improvement),
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(COMPARISON_COLUMNS))]
@@ -496,10 +493,10 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
     """Run every repetition of every config; a failed repetition doesn't stop the rest.
 
     Each failed repetition is recorded as a :class:`RepetitionError` on its
-    config's outcome. Improvement fields are attached wherever the same noise
-    level also ran the no_sel and full_clean baselines. When the shared
-    output dir is set and some repetition completed, writes every
-    batches.csv, one summary.txt and one comparison.txt.
+    config's outcome. When the shared output dir is set and some repetition
+    completed, writes every batches.csv, one summary.txt and one
+    comparison.txt; the last two give each variant's gain over the baselines
+    at its noise level (see :func:`_against_baselines`).
     """
     if not configs:
         raise ValueError("matrix expansion produced no configs")
@@ -516,11 +513,6 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
         outcomes.append(ExperimentOutcome(config, results, summary, errors))
 
     summaries = [o.summary for o in outcomes if o.summary is not None]
-    by_noise = _by_noise(summaries)
-    for s in summaries:
-        anchors = by_noise[s.noise_mean]
-        if "no_sel" in anchors and "full_clean" in anchors:
-            attach_improvements(s, anchors["no_sel"], anchors["full_clean"])
 
     all_results = [r for o in outcomes for r in o.results]
     output_dir = configs[0].output_dir

@@ -102,8 +102,6 @@ class RunSummary:
     final_A: float
     final_A_truth: float
     mean_oracle_queries: float
-    improvement: float | None = None
-    improvement_room: float | None = None
 
 
 def _mean(values: list[float]) -> float:
@@ -147,14 +145,3 @@ def aggregate_runs(results: list[RunResult]) -> RunSummary:
         final_A_truth=_mean([r.final_A_truth for r in results]),
         mean_oracle_queries=_mean([float(r.oracle_queries_total) for r in results]),
     )
-
-
-def attach_improvements(
-    summary: RunSummary, no_sel: RunSummary, full_clean: RunSummary
-) -> RunSummary:
-    """Fill the improvement fields from the paired baselines at the same noise."""
-    if no_sel.noise_mean != summary.noise_mean or full_clean.noise_mean != summary.noise_mean:
-        raise ValueError("baseline summaries must share the noise level")
-    summary.improvement = summary.final_accuracy - no_sel.final_accuracy
-    summary.improvement_room = full_clean.final_accuracy - no_sel.final_accuracy
-    return summary

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from cleanstream.harness import (
     CONFIG_KEYS,
     ConfigError,
     RepetitionError,
-    apply_overrides,
+    comparison_lines,
     config_from_mapping,
     expand_matrix,
     parse_config_text,
@@ -24,7 +26,9 @@ from cleanstream.harness import (
     run_experiment,
     run_matrix,
     run_single,
+    summary_lines,
 )
+from cleanstream.metrics import BatchReport, RunResult, aggregate_runs
 
 SMALL = {
     "stream.num_classes": "3",
@@ -144,12 +148,6 @@ def test_readme_config_table_lists_exactly_the_config_keys():
         return str(default)
 
     assert documented == {key: written(default) for key, (_, default) in CONFIG_KEYS.items()}
-
-
-def test_overrides_layer_on_top():
-    merged = apply_overrides(small_mapping(), {"noise.mean": "0.9"})
-    assert merged["noise.mean"] == "0.9"
-    assert merged["stream.batch_size"] == "20"
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +373,71 @@ def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
     })
     outcomes = run_matrix(expand_matrix(mapping))
     assert len(outcomes) == 3
-    summaries = {o.summary.variant: o.summary for o in outcomes}
-    rad = summaries["rad"]
-    assert rad.improvement == pytest.approx(
-        rad.final_accuracy - summaries["no_sel"].final_accuracy
-    )
-    assert rad.improvement_room == pytest.approx(
-        summaries["full_clean"].final_accuracy - summaries["no_sel"].final_accuracy
-    )
+    finals = {o.summary.variant: o.summary.final_accuracy for o in outcomes}
     comparison = (tmp_path / "matrix" / "comparison.txt").read_text(encoding="utf-8")
     header, *rows = comparison.strip().split("\n")
     assert header.split()[:2] == ["variant", "noise"]
     assert len(rows) == 3
+    rad = dict(zip(header.split(), rows[0].split()))
+    assert rad["improvement"] == f"{finals['rad'] - finals['no_sel']:.4f}"
+    assert rad["improvement_room"] == f"{finals['full_clean'] - finals['no_sel']:.4f}"
     assert (tmp_path / "matrix" / "summary.txt").is_file()
     for variant in ("rad", "no_sel", "full_clean"):
         assert (result_dir(tmp_path / "matrix", variant, 0.3, 0) / "batches.csv").is_file()
+
+
+def summary_of(variant: str, noise: float, final: float):
+    """A one-repetition summary whose final accuracy is ``final``."""
+    report = BatchReport(1, noise, 10, 5, 0, 0, test_accuracy=final)
+    return aggregate_runs([RunResult(variant, noise, 0, 0, 0.5, [report])])
+
+
+def test_gains_use_only_the_baselines_at_the_same_noise():
+    summaries = [
+        summary_of("rad", 0.3, 0.8),
+        summary_of("no_sel", 0.3, 0.7),
+        summary_of("full_clean", 0.3, 0.9),
+        summary_of("rad", 0.6, 0.8),
+    ]
+    header, *rows = [line.split() for line in comparison_lines(summaries)]
+    at_03, at_06 = dict(zip(header, rows[0])), dict(zip(header, rows[3]))
+    assert (at_03["improvement"], at_03["improvement_room"]) == ("0.1000", "0.2000")
+    assert (at_06["no_sel"], at_06["full_clean"]) == ("NA", "NA")
+    assert (at_06["improvement"], at_06["improvement_room"]) == ("NA", "NA")
+
+    aggregates = summary_lines([], summaries)
+    assert aggregates[0].endswith(f"improvement={0.8 - 0.7!r} improvement_room={0.9 - 0.7!r}")
+    assert aggregates[3].endswith("improvement=NA improvement_room=NA")
+
+
+# What the matrix below must write, byte for byte: comparison.txt, and summary.txt's digest.
+PINNED_COMPARISON = """\
+variant     noise  initial_accuracy  no_sel  opt_sel  full_clean  final_accuracy  improvement_room  improvement
+rad         0.3    0.9500            0.7875  NA       0.9625      0.9625          0.1750            0.1750
+no_sel      0.3    0.9500            0.7875  NA       0.9625      0.7875          0.1750            0.0000
+full_clean  0.3    0.9500            0.7875  NA       0.9625      0.9625          0.1750            0.1750
+voting      0.3    0.9500            0.7875  NA       0.9625      0.9625          0.1750            0.1750
+rad         0.6    0.9625            0.6500  NA       NA          0.9625          NA                NA
+no_sel      0.6    0.9625            0.6500  NA       NA          0.6500          NA                NA
+"""
+PINNED_SUMMARY_SHA256 = "30734be34a1bf90582158846274d73dcd0700a095f30beac09330e441a55469b"
+
+
+def test_matrix_report_files_are_pinned(tmp_path):
+    """A matrix with gaps in its baselines writes pinned summary and comparison files."""
+    base = config_from_mapping(small_mapping(**{
+        "run.repetitions": "2",
+        "run.output_dir": str(tmp_path),
+    }))
+    cells = [("rad", 0.3), ("no_sel", 0.3), ("full_clean", 0.3), ("voting", 0.3),
+             ("rad", 0.6), ("no_sel", 0.6)]
+    run_matrix([
+        replace(base, variant=variant, noise=replace(base.noise, mean_level=noise))
+        for variant, noise in cells
+    ])
+    assert (tmp_path / "comparison.txt").read_text(encoding="utf-8") == PINNED_COMPARISON
+    summary = (tmp_path / "summary.txt").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == PINNED_SUMMARY_SHA256
 
 
 def test_matrix_isolates_failing_configs(tmp_path, monkeypatch):

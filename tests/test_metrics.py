@@ -14,7 +14,6 @@ from cleanstream.metrics import (
     active_fraction,
     active_truth_fraction,
     aggregate_runs,
-    attach_improvements,
     write_reports_csv,
 )
 
@@ -184,19 +183,3 @@ def test_run_result_without_arrivals_falls_back_to_initial():
     assert result.final_accuracy == 0.41
     assert result.final_A == 0.0
     assert result.final_A_truth == 0.0
-
-
-def test_attach_improvements_arithmetic():
-    proposed = aggregate_runs([run_result([0.8], variant="rad")])
-    no_sel = aggregate_runs([run_result([0.7], variant="no_sel")])
-    full_clean = aggregate_runs([run_result([0.9], variant="full_clean")])
-    attach_improvements(proposed, no_sel, full_clean)
-    assert proposed.improvement == pytest.approx(0.1)
-    assert proposed.improvement_room == pytest.approx(0.2)
-
-
-def test_attach_improvements_requires_matching_noise():
-    proposed = aggregate_runs([run_result([0.8])])
-    other = aggregate_runs([run_result([0.7], noise=0.6)])
-    with pytest.raises(ValueError, match="noise"):
-        attach_improvements(proposed, other, other)
