@@ -173,12 +173,11 @@ def _class_means(num_classes: int, num_features: int, separation: float) -> np.n
     # separation*sqrt(2); otherwise means sit on a line spaced `separation`
     # apart. Both keep every pair at least `separation` apart.
     means = np.zeros((num_classes, num_features))
+    k = np.arange(num_classes)
     if num_features >= num_classes:
-        for k in range(num_classes):
-            means[k, k] = separation
+        means[k, k] = separation
     else:
-        for k in range(num_classes):
-            means[k, 0] = separation * k
+        means[k, 0] = separation * k
     return means
 
 

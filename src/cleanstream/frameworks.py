@@ -75,21 +75,20 @@ class FrameworkState:
 
     ``clean_pool`` keeps the accepted instances together with their stacked
     rows; it only grows. Each model records its own spec and how many pool
-    rows it was trained on.
+    rows it was trained on. ``oracle`` and its per-batch ``budget`` serve the
+    kinds that ask for true labels; the others ignore them.
     """
 
     variant: str
     classifier: ClassifierModel
     clean_pool: PoolBuffers
     rng: np.random.Generator
+    budget: OracleBudget = OracleBudget()
+    oracle: GroundTruthOracle = GroundTruthOracle()
     label_model: ClassifierModel | None = None
     inactive: list[list[LabeledInstance]] = field(default_factory=list)
     prev_oracle_batch: list[LabeledInstance] = field(default_factory=list)
     oracle_queries_total: int = 0
-
-    @property
-    def inactive_total(self) -> int:
-        return sum(len(group) for group in self.inactive)
 
     def report(
         self, batch: Batch, selected: list[LabeledInstance], oracle_queries: int = 0
@@ -101,7 +100,7 @@ class FrameworkState:
             selected_count=len(selected),
             selected_true_clean_count=sum(1 for inst in selected if inst.is_clean),
             oracle_queries=oracle_queries,
-            inactive_total=self.inactive_total,
+            inactive_total=sum(len(group) for group in self.inactive),
         )
 
 
@@ -111,11 +110,13 @@ def initialize(
     label_spec: ClassifierSpec | None,
     classifier_spec: ClassifierSpec,
     rng: np.random.Generator,
+    budget: OracleBudget = OracleBudget(),
 ) -> FrameworkState:
     """Seed the pool and models from the truly clean part of the first batch.
 
     Serves every variant and baseline; only the variants in
-    ``LABEL_MODEL_VARIANTS`` train a label model. The first batch is assumed
+    ``LABEL_MODEL_VARIANTS`` train a label model, and the state keeps the
+    oracle ``budget`` for the kinds that ask. The first batch is assumed
     mostly trustworthy; only its genuinely clean instances are used, and a
     batch with none is an error because nothing could be learned safely.
     """
@@ -128,7 +129,7 @@ def initialize(
             "(set initial.clean = true to deliver it without noise)"
         )
     pool = PoolBuffers(clean)
-    state = FrameworkState(variant, train_model(classifier_spec, pool, rng), pool, rng)
+    state = FrameworkState(variant, train_model(classifier_spec, pool, rng), pool, rng, budget)
     if variant in LABEL_MODEL_VARIANTS:
         if label_spec is None:
             raise ValueError(f"variant {variant!r} needs a label-model spec")
@@ -244,23 +245,22 @@ def reprocess_history(state: FrameworkState) -> None:
     state.inactive.sort(key=len, reverse=True)
 
 
-def _sample_within_budget(
-    candidates: list[LabeledInstance],
-    budget: OracleBudget,
-    batch_size: int,
-    rng: np.random.Generator,
+def _ask_oracle(
+    state: FrameworkState, candidates: list[LabeledInstance], batch_size: int
 ) -> list[LabeledInstance]:
-    """Uniform random subset of candidates obeying the per-batch cap."""
-    cap = budget.max_queries(batch_size)
-    if len(candidates) <= cap:
-        return list(candidates)
-    picked = rng.choice(len(candidates), size=cap, replace=False)
-    return [candidates[i] for i in sorted(int(i) for i in picked)]
+    """Relabel a uniform subset of candidates, in batch order, within the budget's cap."""
+    cap = state.budget.max_queries(batch_size)
+    asked = list(candidates)
+    if len(asked) > cap:
+        picked = state.rng.choice(len(asked), size=cap, replace=False)
+        asked = [asked[i] for i in sorted(int(i) for i in picked)]
+    for inst in asked:
+        inst.given_label = state.oracle.answer(inst)
+    state.oracle_queries_total += len(asked)
+    return asked
 
 
-def active_step(
-    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
-) -> tuple[FrameworkState, BatchReport]:
+def active_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Active variant: escalate voting disagreements to the oracle.
 
     Queried instances get their given label overwritten by the oracle's
@@ -270,19 +270,14 @@ def active_step(
     """
     agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
     accepted, undecided = voting_filter(disagreed, preds, state.classifier)
-    queried = _sample_within_budget(undecided, budget, len(batch.instances), state.rng)
-    for inst in queried:
-        inst.given_label = oracle.answer(inst)
-    state.oracle_queries_total += len(queried)
+    queried = _ask_oracle(state, undecided, len(batch.instances))
     selected = agreed + accepted + queried
     state.clean_pool.append(selected)
     _retrain_if_pool_grew(state)
     return state, state.report(batch, selected, oracle_queries=len(queried))
 
 
-def slimmed_step(
-    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
-) -> tuple[FrameworkState, BatchReport]:
+def slimmed_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Slimmed variant: no label model, no full-pool retraining.
 
     The classifier itself screens the batch: confirmed labels are kept as-is,
@@ -292,10 +287,7 @@ def slimmed_step(
     each oracle batch is trained on exactly twice.
     """
     agreed, disagreed, _ = cleanse(state.classifier, batch.instances)
-    queried = _sample_within_budget(disagreed, budget, len(batch.instances), state.rng)
-    for inst in queried:
-        inst.given_label = oracle.answer(inst)
-    state.oracle_queries_total += len(queried)
+    queried = _ask_oracle(state, disagreed, len(batch.instances))
 
     window = agreed + queried + state.prev_oracle_batch
     if window:
@@ -312,16 +304,15 @@ def slimmed_step(
     return state, state.report(batch, selected, oracle_queries=len(queried))
 
 
-def step(
-    state: FrameworkState, batch: Batch, oracle: GroundTruthOracle, budget: OracleBudget
-) -> tuple[FrameworkState, BatchReport]:
-    """Run one arrival through the state's variant or baseline."""
-    if state.variant == "rad":
-        return rad_step(state, batch)
-    if state.variant == "voting":
-        return voting_step(state, batch)
-    if state.variant == "active":
-        return active_step(state, batch, oracle, budget)
-    if state.variant == "slimmed":
-        return slimmed_step(state, batch, oracle, budget)
-    return baselines.step(state, batch)
+VARIANT_STEPS = {
+    "rad": rad_step,
+    "voting": voting_step,
+    "active": active_step,
+    "slimmed": slimmed_step,
+}
+
+
+def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
+    """Run one arrival through the state's variant or baseline: the entry for every kind."""
+    # baselines.step is looked up on each call, so a wrapper set on it is the one that runs
+    return VARIANT_STEPS.get(state.variant, baselines.step)(state, batch)

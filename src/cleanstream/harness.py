@@ -35,7 +35,7 @@ from .core import (
     scale_features,
     split_stream,
 )
-from .frameworks import ALL_VARIANTS, FrameworkState, GroundTruthOracle, OracleBudget
+from .frameworks import ALL_VARIANTS, FrameworkState, OracleBudget
 from .metrics import (
     RunResult,
     RunSummary,
@@ -127,9 +127,9 @@ _MODEL_OPTIONS = {
     "mlp_batch_size": (int, ClassifierSpec.mlp_batch_size),
 }
 
-# Every settable key, mapped to (parser, default). Each section whose option
-# names match a dataclass's fields is built from that section alone; a default
-# the dataclass also declares is read from it.
+# Every settable key, mapped to (parser, default). Each section that makes a
+# dataclass is built from that section alone (see ``_build``); a default the
+# dataclass also declares is read from it.
 CONFIG_KEYS = {
     "dataset.source": (str, "synthetic"),
     "dataset.path": (str, None),
@@ -198,15 +198,22 @@ def _typed_values(mapping: dict[str, str]) -> dict:
     return values
 
 
+# The options whose dataclass field has another name.
+_FIELD_NAMES = {
+    "noise.mean": "mean_level", "noise.std_mode": "std_dev_mode", "noise.std": "std_dev"
+}
+
+
 def _build(cls, values: dict, section: str, **fields):
     """Build ``cls`` from the options under ``section.`` plus ``fields``.
 
-    A value the class rejects is reported with the section's name.
+    Each option sets the field of its own name, or the one ``_FIELD_NAMES``
+    gives. A value the class rejects is reported with the section's name.
     """
     for key, value in values.items():
         name, _, option = key.partition(".")
         if name == section:
-            fields[option] = value
+            fields[_FIELD_NAMES.get(key, option)] = value
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -231,19 +238,10 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"run.repetitions must be >= 1, got {values['run.repetitions']}")
 
     stream = _build(StreamConfig, values, "stream")
-    try:
-        noise = NoiseSpec(
-            mean_level=values["noise.mean"],
-            std_dev_mode=values["noise.std_mode"],
-            std_dev=values["noise.std"],
-            seed=values["noise.seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
     k = stream.num_classes
     return ExperimentConfig(
         stream=stream,
-        noise=noise,
+        noise=_build(NoiseSpec, values, "noise"),
         variant=variant,
         classifier_spec=_build(ClassifierSpec, values, "classifier", num_classes=k),
         label_spec=_build(ClassifierSpec, values, "label_model", num_classes=k),
@@ -344,9 +342,9 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         stage = "initialize"
         train_rng = np.random.default_rng(config.classifier_spec.seed ^ repetition)
         state = frameworks.initialize(
-            config.variant, initial, config.label_spec, config.classifier_spec, train_rng
+            config.variant, initial, config.label_spec, config.classifier_spec,
+            train_rng, config.budget,
         )
-        oracle = GroundTruthOracle()
 
         stage = "evaluate"
         stacked_test = stack_test_set(test)
@@ -359,7 +357,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
             level = draw_batch_noise_level(config.noise, noise_rng)
             inject_symmetric_noise(batch, level, config.stream.num_classes, noise_rng)
             stage = "step"
-            state, report = frameworks.step(state, batch, oracle, config.budget)
+            state, report = frameworks.step(state, batch)
             stage = "evaluate"
             report.test_accuracy = evaluate_accuracy(state.classifier, stacked_test)
             reports.append(report)

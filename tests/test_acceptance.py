@@ -25,7 +25,6 @@ from conftest import ACCEPTANCE_LINES
 import cleanstream.frameworks as frameworks
 from cleanstream.core import Batch, LabeledInstance, generate_synthetic, load_csv, split_stream
 from cleanstream.core import StreamConfig
-from cleanstream.frameworks import GroundTruthOracle, OracleBudget
 from cleanstream.harness import config_from_mapping, run_experiment, run_single
 from cleanstream.metrics import CSV_COLUMNS
 from cleanstream.models import ClassifierSpec, MlpModel
@@ -505,7 +504,6 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
         return real_train(spec, instances, rng)
 
     monkeypatch.setattr(frameworks, "train_model", recording_train)
-    oracle = GroundTruthOracle()
     noise_rng = np.random.default_rng(9)
 
     windows_ok = True
@@ -525,7 +523,7 @@ def test_c8_conservation_and_budget_invariants(run_cache, monkeypatch):
             for inst, pred in zip(batch.instances, screening)
             if pred != inst.given_label
         ]
-        state, _ = frameworks.step(state, batch, oracle, OracleBudget())
+        state, _ = frameworks.step(state, batch)
         windows_ok = windows_ok and len(trained_windows) == 1
         window_uids = sorted(inst.uid for window in trained_windows for inst in window)
         trained_windows.clear()
@@ -615,8 +613,6 @@ def test_c10_full_scale_real_dataset():
         )
         pytest.skip("IoT dataset not present")
 
-    import cleanstream.baselines as baselines
-
     num_classes = 11
     train = load_csv(train_path, num_classes)
     test = load_csv(test_path, num_classes)
@@ -656,10 +652,7 @@ def test_c10_full_scale_real_dataset():
             batch = Batch(index=index, instances=chunk)
             level = draw_batch_noise_level(noise_spec, noise_rng)
             inject_symmetric_noise(batch, level, num_classes, noise_rng)
-            if variant == "rad":
-                state, _ = frameworks.step(state, batch, GroundTruthOracle(), OracleBudget())
-            else:
-                state, _ = baselines.step(state, batch)
+            state, _ = frameworks.step(state, batch)
             index += 1
 
         finals[variant] = evaluate_accuracy(state.classifier, test)

@@ -289,18 +289,6 @@ def test_budget_arithmetic():
         OracleBudget(fraction=1.5)
 
 
-def test_budget_sampling_is_a_uniform_subset_in_batch_order():
-    candidates = [make_inst(i, 0) for i in range(10)]
-    budget = OracleBudget(fraction=0.4)
-    picked = frameworks._sample_within_budget(candidates, budget, 10, np.random.default_rng(5))
-    assert len(picked) == 4
-    uids = [i.uid for i in picked]
-    assert uids == sorted(uids)  # batch order preserved
-    assert set(uids) <= set(range(10))
-    again = frameworks._sample_within_budget(candidates, budget, 10, np.random.default_rng(5))
-    assert [i.uid for i in again] == uids
-
-
 class CountingOracle(GroundTruthOracle):
     def __init__(self):
         self.asked: list[int] = []
@@ -308,6 +296,36 @@ class CountingOracle(GroundTruthOracle):
     def answer(self, instance):
         self.asked.append(instance.uid)
         return super().answer(instance)
+
+
+def oracle_state(fraction: float, seed: int):
+    """A bare state whose rng, budget and oracle are all that ``_ask_oracle`` reads."""
+    return frameworks.FrameworkState(
+        "active", classifier=None, clean_pool=None, rng=np.random.default_rng(seed),
+        budget=OracleBudget(fraction), oracle=CountingOracle(),
+    )
+
+
+def test_ask_oracle_relabels_a_uniform_subset_in_batch_order():
+    candidates = [make_inst(i, 0, true=i % 3) for i in range(10)]
+    state = oracle_state(0.4, seed=5)
+    asked = frameworks._ask_oracle(state, candidates, 10)
+    assert len(asked) == 4  # floor(0.4 * 10)
+    uids = [i.uid for i in asked]
+    assert uids == sorted(uids)  # batch order preserved
+    assert set(uids) <= set(range(10))
+    # one draw from the state's rng picks the subset
+    assert uids == sorted(np.random.default_rng(5).choice(10, size=4, replace=False).tolist())
+    assert state.oracle.asked == uids
+    assert all(inst.given_label == inst.true_label for inst in asked)
+    assert state.oracle_queries_total == 4
+    again = oracle_state(0.4, seed=5)
+    assert [i.uid for i in frameworks._ask_oracle(again, candidates, 10)] == uids
+    # candidates that fit under the cap are all asked, in order, and add to the total
+    few = [make_inst(u, 0, true=1) for u in (20, 21, 22)]
+    assert [i.uid for i in frameworks._ask_oracle(state, few, 10)] == [20, 21, 22]
+    assert [inst.given_label for inst in few] == [1, 1, 1]
+    assert state.oracle_queries_total == 4 + 3
 
 
 def test_active_step_queries_only_double_disagreements(monkeypatch):
@@ -320,7 +338,8 @@ def test_active_step_queries_only_double_disagreements(monkeypatch):
         instances=[make_inst(10, 0), make_inst(11, 1, true=2), make_inst(12, 1, true=1)],
     )
     # 10 label-confirmed; 11 classifier-confirms given; 12 disagrees twice -> oracle
-    state, report = frameworks.active_step(state, batch, oracle, OracleBudget())
+    state.oracle = oracle
+    state, report = frameworks.active_step(state, batch)
     assert oracle.asked == [12]
     assert batch.instances[2].given_label == 1  # overwritten with the true label
     assert batch.instances[2].is_clean
@@ -335,9 +354,9 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
     clf = StubModel(default=8)  # everything disagrees -> all are oracle candidates
     state = stubbed_state(monkeypatch, "active", label, clf, [make_inst(0, 0)])
     batch = Batch(index=1, instances=[make_inst(u, 1, true=0) for u in range(10, 20)])
-    budget = OracleBudget(fraction=0.3)
+    state.budget = OracleBudget(fraction=0.3)
     state.rng = np.random.default_rng(1)
-    state, report = frameworks.active_step(state, batch, CountingOracle(), budget)
+    state, report = frameworks.active_step(state, batch)
     assert report.oracle_queries == 3  # floor(0.3 * 10)
     assert report.selected_count == 3
     assert state.inactive == []
@@ -385,13 +404,12 @@ def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches(monkeypatch):
     spec = ClassifierSpec(kind="centroid", num_classes=3)
     state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
     windows = record_training_windows(monkeypatch)
-    oracle = GroundTruthOracle()
     prev_queried: list[int] = []
     for batch in arrivals:
         preds = predict_batch(state.classifier, batch.instances)
         agreed = [i.uid for i, p in zip(batch.instances, preds) if p == i.given_label]
         disagreed = [i.uid for i, p in zip(batch.instances, preds) if p != i.given_label]
-        state, report = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
+        state, report = frameworks.slimmed_step(state, batch)
         assert len(windows) == 1  # one fresh fit per arrival
         window = sorted(windows.pop())
         assert window == sorted(agreed + disagreed + prev_queried)
@@ -408,11 +426,11 @@ def test_slimmed_oracle_batches_are_trained_on_exactly_twice(monkeypatch):
     spec = ClassifierSpec(kind="centroid", num_classes=3)
     state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
     windows = record_training_windows(monkeypatch)
-    oracle = CountingOracle()
+    oracle = state.oracle = CountingOracle()
     queried_per_arrival: list[list[int]] = []
     for batch in arrivals:
         before = len(oracle.asked)
-        state, _ = frameworks.slimmed_step(state, batch, oracle, OracleBudget())
+        state, _ = frameworks.slimmed_step(state, batch)
         queried_per_arrival.append(oracle.asked[before:])
         assert len(windows) == len(queried_per_arrival)
     appearances = {}
@@ -434,18 +452,19 @@ def test_slimmed_mlp_warm_starts_instead_of_retraining():
     model = state.classifier
     assert isinstance(model, MlpModel)
     for batch in arrivals:
-        state, _ = frameworks.slimmed_step(state, batch, GroundTruthOracle(), OracleBudget())
+        state, _ = frameworks.slimmed_step(state, batch)
         assert state.classifier is model  # same object, weights updated in place
 
 
 def test_slimmed_budget_caps_queries_and_discards_rest():
     initial, arrivals, _ = small_stream(num_batches=3, batch_size=10, noise=0.9)
     spec = ClassifierSpec(kind="centroid", num_classes=3)
-    state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
     budget = OracleBudget(fraction=0.2)
+    state = initialize("slimmed", initial, None, spec, np.random.default_rng(0), budget)
+    assert state.budget is budget
     for batch in arrivals:
         pool_before = len(state.clean_pool)
-        state, report = frameworks.slimmed_step(state, batch, GroundTruthOracle(), budget)
+        state, report = frameworks.slimmed_step(state, batch)
         assert report.oracle_queries <= 2  # floor(0.2 * 10)
         assert len(state.clean_pool) - pool_before == report.selected_count
         assert report.selected_count <= len(batch.instances)
@@ -504,10 +523,10 @@ def test_active_with_real_models_keeps_whole_batch_when_unlimited():
         ClassifierSpec(kind="knn", num_classes=3, knn_k=3),
         np.random.default_rng(0),
     )
-    oracle = CountingOracle()
+    oracle = state.oracle = CountingOracle()
     total_queries = 0
     for batch in arrivals:
-        state, report = frameworks.step(state, batch, oracle, OracleBudget())
+        state, report = frameworks.step(state, batch)
         total_queries += report.oracle_queries
         assert report.selected_count == len(batch.instances)
         assert report.inactive_total == 0
@@ -533,11 +552,11 @@ def test_active_asks_the_oracle_only_when_its_two_models_differ(
         ClassifierSpec(kind=classifier_kind, num_classes=3, knn_k=3),
         np.random.default_rng(0),
     )
-    oracle = CountingOracle()
+    oracle = state.oracle = CountingOracle()
     rejected = 0
     for batch in arrivals:
         rejected += len(cleanse(state.label_model, batch.instances)[1])
-        state, _ = frameworks.step(state, batch, oracle, OracleBudget())
+        state, _ = frameworks.step(state, batch)
     assert rejected > 0  # the label model did reject labels
     assert (len(oracle.asked) > 0) == asks
 
@@ -548,12 +567,12 @@ def test_step_runs_a_baseline_state():
         "opt_sel", initial, None, ClassifierSpec(kind="knn", num_classes=3),
         np.random.default_rng(0),
     )
-    oracle = CountingOracle()
+    oracle = state.oracle = CountingOracle()
     for batch in arrivals:
         pool_before = len(state.clean_pool)
         clf_before = state.classifier
         clean_uids = [i.uid for i in batch.instances if i.is_clean]
-        state, report = frameworks.step(state, batch, oracle, OracleBudget())
+        state, report = frameworks.step(state, batch)
         assert [i.uid for i in state.clean_pool.instances[pool_before:]] == clean_uids
         assert report.selected_count == report.selected_true_clean_count == len(clean_uids)
         assert report.oracle_queries == 0

@@ -100,9 +100,9 @@ def run_and_check(case) -> CountingOracle:
         inject_symmetric_noise(initial, level, stream.num_classes, rng)
         assume(any(inst.is_clean for inst in initial.instances))
     state = frameworks.initialize(
-        case["variant"], initial, case["label_spec"], case["classifier_spec"], rng
+        case["variant"], initial, case["label_spec"], case["classifier_spec"], rng, budget
     )
-    oracle = CountingOracle()
+    oracle = state.oracle = CountingOracle()
     test_ids = {id(inst) for inst in test}
     delivered = {id(inst) for inst in initial.instances}
     reports = []
@@ -112,7 +112,7 @@ def run_and_check(case) -> CountingOracle:
         )
         delivered.update(id(inst) for inst in batch.instances)
         calls_before = oracle.calls
-        state, report = frameworks.step(state, batch, oracle, budget)
+        state, report = frameworks.step(state, batch)
         reports.append(report)
 
         assert 0 <= report.selected_count <= len(batch.instances)
