@@ -129,9 +129,11 @@ def _squared_distances(
     return d2
 
 
-# kNN distances are computed this many at a time, so one block (2 MiB of
-# float64) stays in cache however large the training set grows
-KNN_BLOCK_DISTANCES = 1 << 18
+# kNN distances are computed this many at a time, however large the training
+# set grows. A fold keeps three block-sized float64 arrays alive at once (the
+# new distances, the candidates `_merge` concatenates and `np.partition`'s
+# copy of them) plus a bool mask: 3 x 512 KiB + 64 KiB fits in a 2 MiB L2.
+KNN_BLOCK_DISTANCES = 1 << 16
 
 
 class KnnModel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ def test_knn_matches_oracle_on_200_random_cases():
 @pytest.mark.parametrize(
     "grid, f, labels, num_classes, k",
     [
-        (4, 3, (0, 1, 2), 3, 5),  # 64 cells for ~6,500 points: every row ties
+        (4, 3, (0, 1, 2), 3, 5),  # 64 cells for ~1,600 points: every row ties
         (16, 4, (0, 1, 2, 3), 4, 1),
         (16, 4, (1, 4), 6, 7),  # classes 0, 2, 3 and 5 never occur
         (8, 2, (0, 2), 3, None),  # k equal to the pool size
@@ -577,6 +579,35 @@ def test_stacked_test_set_scores_other_models_in_full(monkeypatch):
     # a shorter prefix of the same pool than the one folded in
     np.testing.assert_array_equal(test.predict(shorter), original(shorter, queries))
     assert full_calls[-1] == 10 and test.folded == 30
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_knn_working_set_fits_in_a_2_mib_cache():
+    # a fold keeps about three distance blocks alive at once: with the
+    # module's block size they fit in 2 MiB, and one more block would not
+    rng = np.random.default_rng(17)
+    spec = knn_spec(k=5, num_classes=4)
+    X = rng.normal(size=(1300, 20))
+    instances = wrap(X, rng.integers(0, 4, 1300))
+    queries = rng.normal(size=(2000, 20))
+    test = stack_test_set(wrap(queries, np.zeros(2000, dtype=int)))
+    pool = models.PoolBuffers(instances[:1000])
+    test.predict(train(spec, pool, None))
+    pool.append(instances[1000:])  # 300 new rows to fold into 2,000 test rows
+    appended = train(spec, pool, None)
+    assert traced_peak(lambda: test.predict(appended)) <= 2 * 2**20
+    assert test.folded == 1300
+    window = train(spec, instances[:400], None)
+    assert traced_peak(lambda: window.predict_many(queries)) <= 2 * 2**20
 
 
 def test_spec_validation():
