@@ -94,26 +94,20 @@ def load_csv(path, num_classes: int) -> Dataset:
     """Read a dataset CSV (header ``f0,...,f{n-1},label``) as clean ground truth.
 
     Every row becomes an instance with ``true_label = given_label`` and
-    ``is_clean`` true; noise is injected later, downstream. Non-numeric and
-    non-finite (``nan``, ``inf``) feature cells and non-integer labels raise
-    :class:`CsvFormatError` naming the offending line; wrong column
-    counts and out-of-range labels raise :class:`ValueError`.
+    ``is_clean`` true; noise is injected later, downstream. Every format
+    violation (an empty file, a bad header, a wrong column count, a non-numeric
+    or non-finite feature cell, a label that is not an integer in
+    ``0..num_classes-1``) raises :class:`CsvFormatError` naming where it is.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise CsvFormatError(f"{path}: empty file, expected a header line")
         cells = header.rstrip("\r\n").split(",")
-        if cells[-1] != "label" or len(cells) < 2:
-            raise CsvFormatError(
-                f"{path}: line 1: header must be 'f0,...,f{{n-1}},label'"
-            )
         num_features = len(cells) - 1
         expected = [f"f{i}" for i in range(num_features)] + ["label"]
-        if cells != expected:
-            raise CsvFormatError(
-                f"{path}: line 1: header must be 'f0,...,f{num_features - 1},label'"
-            )
+        if num_features < 1 or cells != expected:
+            raise CsvFormatError(f"{path}: line 1: header must be 'f0,...,f{{n-1}},label'")
 
         instances: Dataset = []
         for lineno, line in enumerate(fh, start=2):
@@ -122,7 +116,7 @@ def load_csv(path, num_classes: int) -> Dataset:
                 continue
             cells = line.split(",")
             if len(cells) != num_features + 1:
-                raise ValueError(
+                raise CsvFormatError(
                     f"{path}: line {lineno}: expected {num_features + 1} columns, "
                     f"got {len(cells)}"
                 )
@@ -141,7 +135,7 @@ def load_csv(path, num_classes: int) -> Dataset:
                     f"{path}: line {lineno}: label is not a base-10 integer"
                 ) from None
             if not 0 <= label < num_classes:
-                raise ValueError(
+                raise CsvFormatError(
                     f"{path}: line {lineno}: label {label} outside 0..{num_classes - 1}"
                 )
             instances.append(

@@ -76,7 +76,8 @@ class FrameworkState:
     ``clean_pool`` keeps the accepted instances together with their stacked
     rows; it only grows. Each model records its own spec and how many pool
     rows it was trained on. ``oracle`` and its per-batch ``budget`` serve the
-    kinds that ask for true labels; the others ignore them.
+    kinds that ask for true labels; the others ignore them. Each arrival's
+    oracle queries are counted in its report only.
     """
 
     variant: str
@@ -88,7 +89,6 @@ class FrameworkState:
     label_model: ClassifierModel | None = None
     inactive: list[list[LabeledInstance]] = field(default_factory=list)
     prev_oracle_batch: list[LabeledInstance] = field(default_factory=list)
-    oracle_queries_total: int = 0
 
     def report(
         self, batch: Batch, selected: list[LabeledInstance], oracle_queries: int = 0
@@ -232,8 +232,6 @@ def reprocess_history(state: FrameworkState) -> None:
     retrained here; they pick the additions up on the next arrival. Survivors
     re-enter the history, which stays sorted by size, largest first.
     """
-    if not state.inactive:
-        return
     survivors: list[list[LabeledInstance]] = []
     for group in state.inactive[:2]:
         preds = predict_batch(state.label_model, group)
@@ -256,7 +254,6 @@ def _ask_oracle(
         asked = [asked[i] for i in sorted(int(i) for i in picked)]
     for inst in asked:
         inst.given_label = state.oracle.answer(inst)
-    state.oracle_queries_total += len(asked)
     return asked
 
 

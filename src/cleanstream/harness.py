@@ -67,7 +67,10 @@ class RepetitionError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """Fully typed description of one (variant, noise) experiment."""
+    """Fully typed description of one (variant, noise) experiment.
+
+    A run loads the CSV at ``dataset_path`` if it is non-empty, else synthetic data.
+    """
 
     stream: StreamConfig
     noise: NoiseSpec
@@ -75,7 +78,6 @@ class ExperimentConfig:
     classifier_spec: ClassifierSpec
     label_spec: ClassifierSpec | None
     budget: OracleBudget
-    dataset_source: str
     dataset_path: str | None
     separation: float
     scale: bool
@@ -131,7 +133,6 @@ _MODEL_OPTIONS = {
 # dataclass is built from that section alone (see ``_build``); a default the
 # dataclass also declares is read from it.
 CONFIG_KEYS = {
-    "dataset.source": (str, "synthetic"),
     "dataset.path": (str, None),
     "dataset.separation": (_finite_float, 3.0),
     "dataset.scale": (_bool, False),
@@ -229,11 +230,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             f"framework.variant: expected one of {', '.join(ALL_VARIANTS)}, "
             f"got {variant!r}"
         )
-    source = values["dataset.source"]
-    if source not in ("synthetic", "csv"):
-        raise ConfigError(f"dataset.source: expected synthetic or csv, got {source!r}")
-    if source == "csv" and not values["dataset.path"]:
-        raise ConfigError("dataset.path is required when dataset.source = csv")
     if values["run.repetitions"] < 1:
         raise ConfigError(f"run.repetitions must be >= 1, got {values['run.repetitions']}")
 
@@ -246,7 +242,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         classifier_spec=_build(ClassifierSpec, values, "classifier", num_classes=k),
         label_spec=_build(ClassifierSpec, values, "label_model", num_classes=k),
         budget=_build(OracleBudget, values, "oracle"),
-        dataset_source=source,
         dataset_path=values["dataset.path"],
         separation=values["dataset.separation"],
         scale=values["dataset.scale"],
@@ -299,7 +294,7 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
 # running
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
-    if config.dataset_source != "csv":
+    if not config.dataset_path:
         return generate_synthetic(config.stream, separation=config.separation)
     dataset = load_csv(config.dataset_path, config.stream.num_classes)
     width = config.stream.num_features
@@ -378,7 +373,6 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         seed=config.stream.seed ^ repetition,
         initial_accuracy=initial_accuracy,
         reports=reports,
-        oracle_queries_total=state.oracle_queries_total,
     )
 
 

@@ -72,7 +72,10 @@ class RunResult:
     seed: int
     initial_accuracy: float
     reports: list[BatchReport]
-    oracle_queries_total: int = 0
+
+    @property
+    def oracle_queries_total(self) -> int:
+        return sum(r.oracle_queries for r in self.reports)
 
     @property
     def final_accuracy(self) -> float:

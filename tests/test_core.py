@@ -119,14 +119,14 @@ def test_load_rejects_non_finite_feature_cells(tmp_path, cell):
 def test_load_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(CsvFormatError, match="line 3"):
         load_csv(path, 2)
 
 
 def test_load_rejects_out_of_range_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="label 5"):
+    with pytest.raises(CsvFormatError, match="line 2: label 5"):
         load_csv(path, 2)
 
 

@@ -318,14 +318,13 @@ def test_ask_oracle_relabels_a_uniform_subset_in_batch_order():
     assert uids == sorted(np.random.default_rng(5).choice(10, size=4, replace=False).tolist())
     assert state.oracle.asked == uids
     assert all(inst.given_label == inst.true_label for inst in asked)
-    assert state.oracle_queries_total == 4
     again = oracle_state(0.4, seed=5)
     assert [i.uid for i in frameworks._ask_oracle(again, candidates, 10)] == uids
-    # candidates that fit under the cap are all asked, in order, and add to the total
+    # candidates that fit under the cap are all asked, in order
     few = [make_inst(u, 0, true=1) for u in (20, 21, 22)]
     assert [i.uid for i in frameworks._ask_oracle(state, few, 10)] == [20, 21, 22]
     assert [inst.given_label for inst in few] == [1, 1, 1]
-    assert state.oracle_queries_total == 4 + 3
+    assert state.oracle.asked == uids + [20, 21, 22]
 
 
 def test_active_step_queries_only_double_disagreements(monkeypatch):
@@ -346,7 +345,6 @@ def test_active_step_queries_only_double_disagreements(monkeypatch):
     assert report.oracle_queries == 1
     assert report.selected_count == 3
     assert report.inactive_total == 0
-    assert state.oracle_queries_total == 1
 
 
 def test_active_step_budget_discards_unsampled(monkeypatch):
@@ -531,7 +529,7 @@ def test_active_with_real_models_keeps_whole_batch_when_unlimited():
         assert report.selected_count == len(batch.instances)
         assert report.inactive_total == 0
         assert all(inst.is_clean for inst in batch.instances if inst.uid in set(oracle.asked))
-    assert state.oracle_queries_total == total_queries == len(oracle.asked)
+    assert total_queries == len(oracle.asked)
 
 
 @pytest.mark.parametrize(

@@ -101,9 +101,8 @@ def test_non_finite_numbers_are_rejected(key, raw):
 def test_variant_and_source_validation():
     with pytest.raises(ConfigError, match="framework.variant"):
         config_from_mapping(small_mapping(**{"framework.variant": "psychic"}))
-    with pytest.raises(ConfigError, match="dataset.source"):
-        config_from_mapping(small_mapping(**{"dataset.source": "parquet"}))
-    with pytest.raises(ConfigError, match="dataset.path"):
+    # dataset.path alone selects a CSV; no other key does
+    with pytest.raises(ConfigError, match="unknown config keys: dataset.source"):
         config_from_mapping(small_mapping(**{"dataset.source": "csv"}))
 
 
@@ -193,10 +192,7 @@ def test_initial_batch_noise_can_be_disabled():
 
 
 def test_repetition_error_names_batch_and_stage():
-    mapping = small_mapping(**{
-        "dataset.source": "csv",
-        "dataset.path": "/nonexistent/never.csv",
-    })
+    mapping = small_mapping(**{"dataset.path": "/nonexistent/never.csv"})
     with pytest.raises(RepetitionError, match="stage load-dataset") as err:
         run_single(config_from_mapping(mapping), 0)
     assert err.value.repetition == 0
@@ -216,7 +212,7 @@ def test_csv_dataset_source_round_trip(tmp_path):
     config = config_from_mapping(small_mapping())
     path = tmp_path / "stream.csv"
     save_csv(generate_synthetic(config.stream, separation=4.0), path)
-    mapping = small_mapping(**{"dataset.source": "csv", "dataset.path": str(path)})
+    mapping = small_mapping(**{"dataset.path": str(path)})
     result = run_single(config_from_mapping(mapping), 0)
     assert len(result.reports) == 3
 
@@ -227,11 +223,7 @@ def test_csv_dataset_width_must_match_num_features(tmp_path):
     config = config_from_mapping(small_mapping(**{"stream.num_features": "3"}))
     path = tmp_path / "stream.csv"
     save_csv(generate_synthetic(config.stream), path)
-    mapping = small_mapping(**{
-        "dataset.source": "csv",
-        "dataset.path": str(path),
-        "stream.num_features": "20",
-    })
+    mapping = small_mapping(**{"dataset.path": str(path), "stream.num_features": "20"})
     with pytest.raises(RepetitionError, match="stage load-dataset") as err:
         run_single(config_from_mapping(mapping), 0)
     assert "stream.num_features = 20" in str(err.value)
@@ -616,6 +608,25 @@ def test_cli_gen_synthetic_produces_loadable_csv(tmp_path, capsys):
     assert code == 0
     dataset = load_csv(out, 3)
     assert len(dataset) == 50 + 3 * 20 + 40
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_cli_run_never_falls_back_from_a_dataset_path(tmp_path, capsys, width):
+    # a missing file (width None), or a CSV 3 features wide where the config says 5
+    config = write_config(tmp_path)
+    path = tmp_path / "data.csv"
+    if width is not None:
+        assert cli_main(["gen-synthetic", "--config", str(config), "--out", str(path),
+                         f"--stream.num_features={width}"]) == 0
+        capsys.readouterr()
+    code = cli_main(["run", "--config", str(config), f"--dataset.path={path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "stage load-dataset" in captured.err and str(path) in captured.err
+    if width is not None:
+        assert "stream.num_features = 5, but" in captured.err
+        assert "3 feature columns" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_reports_config_errors_with_nonzero_exit(tmp_path, capsys):

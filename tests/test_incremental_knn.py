@@ -97,7 +97,7 @@ def scenario_config(tmp_path, name: str, variant: str) -> harness.ExperimentConf
             int(settings["stream.num_classes"]),
             seed=len(name),
         )
-        mapping.update({"dataset.source": "csv", "dataset.path": str(path)})
+        mapping["dataset.path"] = str(path)
     return harness.config_from_mapping(mapping)
 
 
