@@ -80,25 +80,20 @@ def main(argv: list[str] | None = None) -> int:
                 )
         configs = harness.expand_matrix(mapping)
         outcomes = harness.run_matrix(configs)
-        results = [r for o in outcomes for r in o.results]
-        if results:
-            summaries = [o.summary for o in outcomes if o.summary is not None]
+        completed = any(o.results for o in outcomes)
+        if completed:
             if args.command == "run":
-                table = harness.summary_lines(results, summaries)
+                table = harness.summary_lines(outcomes)
             else:
-                table = harness.comparison_lines(summaries)
+                table = harness.comparison_lines(outcomes)
             for line in table:
                 print(line)
             if configs[0].output_dir:
                 print(f"results under {configs[0].output_dir}")
         errors = [(o.config, e) for o in outcomes for e in o.errors]
         for config, error in errors:
-            print(
-                f"error: variant={config.variant} "
-                f"noise={harness.format_noise(config.noise.mean_level)}: {error}",
-                file=sys.stderr,
-            )
-        if not results:
+            print(f"error: {harness.format_cell(config)}: {error}", file=sys.stderr)
+        if not completed:
             return 2
         return 1 if errors else 0
     except (harness.ConfigError, OSError, ValueError, RuntimeError) as exc:

@@ -367,8 +367,6 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         raise RepetitionError(repetition, batch_index, stage, exc) from exc
 
     return RunResult(
-        variant=config.variant,
-        noise_mean=config.noise.mean_level,
         repetition=repetition,
         seed=config.stream.seed ^ repetition,
         initial_accuracy=initial_accuracy,
@@ -378,6 +376,8 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
 
 @dataclass
 class ExperimentOutcome:
+    """One config with what its repetitions measured: the home of a run's identity."""
+
     config: ExperimentConfig
     results: list[RunResult]
     summary: RunSummary | None
@@ -388,54 +388,55 @@ def format_noise(noise_mean: float) -> str:
     return f"{noise_mean:g}"
 
 
+def format_cell(config: ExperimentConfig) -> str:
+    return f"variant={config.variant} noise={format_noise(config.noise.mean_level)}"
+
+
 def result_dir(output_dir, variant: str, noise_mean: float, repetition: int) -> Path:
     return Path(output_dir) / variant / format_noise(noise_mean) / str(repetition)
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "NA" if value is None else repr(value)
 
 
-def _against_baselines(summaries: list[RunSummary]):
-    """Each summary with the baselines at its noise level and its gains over them.
+def _against_baselines(outcomes: list[ExperimentOutcome]):
+    """Each summarised outcome with the baselines at its noise level and its gains.
 
-    Yields ``(summary, (no_sel, opt_sel, full_clean), improvement,
-    improvement_room)``. A baseline that did not run at that noise level is
-    None; the improvement is the gain over no_sel, the room is full_clean's
-    gain over no_sel, and both are None unless no_sel and full_clean ran.
+    Yields ``(outcome, (no_sel, opt_sel, full_clean), improvement,
+    improvement_room)``, pairing outcomes by their config's variant and noise
+    mean. A baseline summary that is missing at that noise level is None; the
+    improvement is the gain over no_sel, the room is full_clean's gain over
+    no_sel, and both are None unless no_sel and full_clean have summaries.
     """
-    at = {(s.variant, s.noise_mean): s for s in summaries}
-    for s in summaries:
-        baselines = tuple(
-            at.get((name, s.noise_mean)) for name in ("no_sel", "opt_sel", "full_clean")
-        )
+    done = [o for o in outcomes if o.summary is not None]
+    at = {(o.config.variant, o.config.noise.mean_level): o.summary for o in done}
+    for o in done:
+        noise = o.config.noise.mean_level
+        baselines = tuple(at.get((name, noise)) for name in ("no_sel", "opt_sel", "full_clean"))
         no_sel, _, full_clean = baselines
         if no_sel is None or full_clean is None:
-            yield s, baselines, None, None
+            yield o, baselines, None, None
         else:
             base = no_sel.final_accuracy
-            yield s, baselines, s.final_accuracy - base, full_clean.final_accuracy - base
+            yield o, baselines, o.summary.final_accuracy - base, full_clean.final_accuracy - base
 
 
-def summary_lines(results: list[RunResult], summaries: list[RunSummary]) -> list[str]:
+def summary_lines(outcomes: list[ExperimentOutcome]) -> list[str]:
     lines = []
-    for r in results:
+    for o in outcomes:
+        for r in o.results:
+            lines.append(
+                f"run {format_cell(o.config)} repetition={r.repetition} seed={r.seed} "
+                f"initial_accuracy={_fmt(r.initial_accuracy)} "
+                f"final_accuracy={_fmt(r.final_accuracy)} "
+                f"final_A={_fmt(r.final_A)} final_A_truth={_fmt(r.final_A_truth)} "
+                f"oracle_queries={r.oracle_queries_total}"
+            )
+    for o, _, improvement, room in _against_baselines(outcomes):
+        s = o.summary
         lines.append(
-            f"run variant={r.variant} noise={format_noise(r.noise_mean)} "
-            f"repetition={r.repetition} seed={r.seed} "
-            f"initial_accuracy={_fmt(r.initial_accuracy)} "
-            f"final_accuracy={_fmt(r.final_accuracy)} "
-            f"final_A={_fmt(r.final_A)} final_A_truth={_fmt(r.final_A_truth)} "
-            f"oracle_queries={r.oracle_queries_total}"
-        )
-    for s, _, improvement, room in _against_baselines(summaries):
-        lines.append(
-            f"aggregate variant={s.variant} noise={format_noise(s.noise_mean)} "
-            f"repetitions={s.repetitions} "
+            f"aggregate {format_cell(o.config)} repetitions={s.repetitions} "
             f"initial_accuracy={_fmt(s.initial_accuracy)} "
             f"final_accuracy={_fmt(s.final_accuracy)} "
             f"final_accuracy_variance={_fmt(s.final_accuracy_variance)} "
@@ -459,20 +460,20 @@ COMPARISON_COLUMNS = (
 )
 
 
-def comparison_lines(summaries: list[RunSummary]) -> list[str]:
+def comparison_lines(outcomes: list[ExperimentOutcome]) -> list[str]:
     """Fixed-width table relating every variant to the baselines at its noise."""
     def cell(value) -> str:
         return "NA" if value is None else f"{value:.4f}"
 
     rows = [COMPARISON_COLUMNS]
-    for s, baselines, improvement, room in _against_baselines(summaries):
+    for o, baselines, improvement, room in _against_baselines(outcomes):
         rows.append(
             (
-                s.variant,
-                format_noise(s.noise_mean),
-                cell(s.initial_accuracy),
+                o.config.variant,
+                format_noise(o.config.noise.mean_level),
+                cell(o.summary.initial_accuracy),
                 *(cell(None if b is None else b.final_accuracy) for b in baselines),
-                cell(s.final_accuracy),
+                cell(o.summary.final_accuracy),
                 cell(room),
                 cell(improvement),
             )
@@ -484,11 +485,12 @@ def comparison_lines(summaries: list[RunSummary]) -> list[str]:
 def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
     """Run every repetition of every config; a failed repetition doesn't stop the rest.
 
-    Each failed repetition is recorded as a :class:`RepetitionError` on its
-    config's outcome. When the shared output dir is set and some repetition
-    completed, writes every batches.csv, one summary.txt and one
-    comparison.txt; the last two give each variant's gain over the baselines
-    at its noise level (see :func:`_against_baselines`).
+    Each config's results are aggregated on their own, so a summary never
+    mixes configs. Each failed repetition is recorded as a
+    :class:`RepetitionError` on its config's outcome. When the shared output
+    dir is set and some repetition completed, writes every batches.csv, one
+    summary.txt and one comparison.txt; the last two give each variant's gain
+    over the baselines at its noise level (see :func:`_against_baselines`).
     """
     if not configs:
         raise ValueError("matrix expansion produced no configs")
@@ -504,19 +506,18 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
         summary = aggregate_runs(results) if results else None
         outcomes.append(ExperimentOutcome(config, results, summary, errors))
 
-    summaries = [o.summary for o in outcomes if o.summary is not None]
-
-    all_results = [r for o in outcomes for r in o.results]
     output_dir = configs[0].output_dir
-    if output_dir and all_results:
-        for r in all_results:
-            directory = result_dir(output_dir, r.variant, r.noise_mean, r.repetition)
-            directory.mkdir(parents=True, exist_ok=True)
-            write_reports_csv(r.reports, directory / "batches.csv")
+    if output_dir and any(o.results for o in outcomes):
+        for o in outcomes:
+            noise = o.config.noise.mean_level
+            for r in o.results:
+                directory = result_dir(output_dir, o.config.variant, noise, r.repetition)
+                directory.mkdir(parents=True, exist_ok=True)
+                write_reports_csv(r.reports, directory / "batches.csv")
         out = Path(output_dir)
-        text = "\n".join(summary_lines(all_results, summaries)) + "\n"
+        text = "\n".join(summary_lines(outcomes)) + "\n"
         (out / "summary.txt").write_text(text, encoding="utf-8")
-        table = "\n".join(comparison_lines(summaries)) + "\n"
+        table = "\n".join(comparison_lines(outcomes)) + "\n"
         (out / "comparison.txt").write_text(table, encoding="utf-8")
     return outcomes
 

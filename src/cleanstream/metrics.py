@@ -64,10 +64,8 @@ def write_reports_csv(reports: list[BatchReport], path) -> None:
 
 @dataclass
 class RunResult:
-    """One repetition of one (variant, noise) configuration."""
+    """What one repetition of a config measured; the config says what ran."""
 
-    variant: str
-    noise_mean: float
     repetition: int
     seed: int
     initial_accuracy: float
@@ -94,10 +92,8 @@ class RunResult:
 
 @dataclass
 class RunSummary:
-    """Mean behaviour of one (variant, noise) configuration across repetitions."""
+    """Mean behaviour of one config's repetitions; the config says what ran."""
 
-    variant: str
-    noise_mean: float
     repetitions: int
     initial_accuracy: float
     final_accuracy: float
@@ -117,29 +113,11 @@ def _variance(values: list[float]) -> float:
 
 
 def aggregate_runs(results: list[RunResult]) -> RunSummary:
-    """Average repetitions of a single configuration into one summary.
-
-    All results must share variant, noise level, and arrival count; seeds are
-    expected to differ per repetition.
-    """
+    """Average the repetitions of one config, whose seeds differ, into one summary."""
     if not results:
         raise ValueError("need at least one run result")
-    first = results[0]
-    for r in results[1:]:
-        if (
-            r.variant != first.variant
-            or r.noise_mean != first.noise_mean
-            or len(r.reports) != len(first.reports)
-        ):
-            raise ValueError(
-                "run results mix configurations: "
-                f"({r.variant}, {r.noise_mean}, {len(r.reports)} batches) vs "
-                f"({first.variant}, {first.noise_mean}, {len(first.reports)} batches)"
-            )
     finals = [r.final_accuracy for r in results]
     return RunSummary(
-        variant=first.variant,
-        noise_mean=first.noise_mean,
         repetitions=len(results),
         initial_accuracy=_mean([r.initial_accuracy for r in results]),
         final_accuracy=_mean(finals),

@@ -89,10 +89,18 @@ def test_csv_round_trip(tmp_path):
         # repr round-trips float64 exactly
         assert np.array_equal(back.features, orig.features)
     assert [inst.uid for inst in loaded] == list(range(len(loaded)))
+    # a blank body line is skipped; an empty dataset cannot be written
+    path.write_text("f0,f1,label\n1.0,2.0,0\n\n3.0,4.0,1\n", encoding="utf-8")
+    assert [inst.given_label for inst in load_csv(path, 2)] == [0, 1]
+    with pytest.raises(ValueError, match="empty dataset"):
+        save_csv([], tmp_path / "empty.csv")
 
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="empty file"):
+        load_csv(path, 2)
     path.write_text("a,b,label\n1,2,0\n", encoding="utf-8")
     with pytest.raises(CsvFormatError, match="line 1"):
         load_csv(path, 2)

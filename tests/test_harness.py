@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cleanstream.harness as harness
+from cleanstream.cli import _parse_overrides
 from cleanstream.cli import main as cli_main
 from cleanstream.core import load_csv
 from cleanstream.frameworks import ALL_VARIANTS
@@ -83,6 +84,8 @@ def test_type_errors_name_the_key():
         config_from_mapping(small_mapping(**{"noise.mean": "lots"}))
     with pytest.raises(ConfigError, match="dataset.scale"):
         config_from_mapping(small_mapping(**{"dataset.scale": "perhaps"}))
+    with pytest.raises(ConfigError, match=r"^run.repetitions must be >= 1, got 0$"):
+        config_from_mapping(small_mapping(**{"run.repetitions": "0"}))
     for key in ("stream.seed", "noise.seed", "classifier.seed"):
         section = key.partition(".")[0]
         with pytest.raises(ConfigError, match=rf"^{section}: seed must be >= 0, got -1$"):
@@ -116,6 +119,8 @@ def test_defaults_and_typed_fields():
     assert config.budget.fraction == 1.0
     assert config.repetitions == 1
     assert config.output_dir is None
+    for raw in ("false", "no", "0", "off", "OFF"):
+        assert config_from_mapping(small_mapping(**{"dataset.scale": raw})).scale is False
 
 
 def test_mlp_hidden_parses_comma_separated_widths():
@@ -365,7 +370,7 @@ def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
     })
     outcomes = run_matrix(expand_matrix(mapping))
     assert len(outcomes) == 3
-    finals = {o.summary.variant: o.summary.final_accuracy for o in outcomes}
+    finals = {o.config.variant: o.summary.final_accuracy for o in outcomes}
     comparison = (tmp_path / "matrix" / "comparison.txt").read_text(encoding="utf-8")
     header, *rows = comparison.strip().split("\n")
     assert header.split()[:2] == ["variant", "noise"]
@@ -378,26 +383,28 @@ def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
         assert (result_dir(tmp_path / "matrix", variant, 0.3, 0) / "batches.csv").is_file()
 
 
-def summary_of(variant: str, noise: float, final: float):
-    """A one-repetition summary whose final accuracy is ``final``."""
-    report = BatchReport(1, noise, 10, 5, 0, 0, test_accuracy=final)
-    return aggregate_runs([RunResult(variant, noise, 0, 0, 0.5, [report])])
+def summary_of(variant: str, noise: float, final: float) -> harness.ExperimentOutcome:
+    """A one-repetition outcome whose final accuracy is ``final``."""
+    base = config_from_mapping(small_mapping())
+    config = replace(base, variant=variant, noise=replace(base.noise, mean_level=noise))
+    result = RunResult(0, 0, 0.5, [BatchReport(1, noise, 10, 5, 0, 0, test_accuracy=final)])
+    return harness.ExperimentOutcome(config, [result], aggregate_runs([result]), [])
 
 
 def test_gains_use_only_the_baselines_at_the_same_noise():
-    summaries = [
+    outcomes = [
         summary_of("rad", 0.3, 0.8),
         summary_of("no_sel", 0.3, 0.7),
         summary_of("full_clean", 0.3, 0.9),
         summary_of("rad", 0.6, 0.8),
     ]
-    header, *rows = [line.split() for line in comparison_lines(summaries)]
+    header, *rows = [line.split() for line in comparison_lines(outcomes)]
     at_03, at_06 = dict(zip(header, rows[0])), dict(zip(header, rows[3]))
     assert (at_03["improvement"], at_03["improvement_room"]) == ("0.1000", "0.2000")
     assert (at_06["no_sel"], at_06["full_clean"]) == ("NA", "NA")
     assert (at_06["improvement"], at_06["improvement_room"]) == ("NA", "NA")
 
-    aggregates = summary_lines([], summaries)
+    aggregates = [line for line in summary_lines(outcomes) if line.startswith("aggregate ")]
     assert aggregates[0].endswith(f"improvement={0.8 - 0.7!r} improvement_room={0.9 - 0.7!r}")
     assert aggregates[3].endswith("improvement=NA improvement_room=NA")
 
@@ -643,6 +650,15 @@ def test_cli_rejects_malformed_overrides(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "override" in captured.err or "key=value" in captured.err
+    # argparse rejects "--=1" as an ambiguous abbreviation before the override
+    # parser sees it; the parser's own check stands behind that
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--config", str(config), "--=1"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert "--=1" in captured.err and captured.out == ""
+    with pytest.raises(ConfigError, match="override '--=1' has no key"):
+        _parse_overrides(["--=1"])
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -111,7 +111,6 @@ def test_incremental_scoring_matches_predict_many(monkeypatch, tmp_path, scenari
         accuracy = original(model, test)
         folded = (
             isinstance(model, KnnModel)
-            and model.pool is not None
             and test.pool is model.pool
             and test.folded == model.trained_on_count
         )

@@ -31,13 +31,11 @@ def report(index, selected, clean, **kw):
     return BatchReport(**base)
 
 
-def run_result(finals, variant="rad", noise=0.3, rep=0):
+def run_result(finals, rep=0):
     reports = [
         report(i + 1, 10, 5, test_accuracy=acc) for i, acc in enumerate(finals)
     ]
     return RunResult(
-        variant=variant,
-        noise_mean=noise,
         repetition=rep,
         seed=rep,
         initial_accuracy=0.5,
@@ -63,6 +61,8 @@ def test_fractions_of_empty_history_are_zero():
 def test_fraction_rejects_bad_batch_size():
     with pytest.raises(ValueError):
         active_fraction([], 0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        active_truth_fraction([], 0)
 
 
 def test_truth_fraction_stalls_when_selection_is_all_wrong():
@@ -161,10 +161,7 @@ def test_aggregate_means_and_variances_match_numpy():
 
 
 def test_aggregate_rejects_mixed_configurations():
-    with pytest.raises(ValueError, match="mix"):
-        aggregate_runs([run_result([0.5]), run_result([0.5], variant="voting")])
-    with pytest.raises(ValueError, match="mix"):
-        aggregate_runs([run_result([0.5]), run_result([0.5, 0.6])])
+    # only the empty case is left: run_matrix aggregates one config at a time
     with pytest.raises(ValueError, match="at least one"):
         aggregate_runs([])
 
@@ -176,10 +173,7 @@ def test_aggregate_single_run_has_zero_variance():
 
 
 def test_run_result_without_arrivals_falls_back_to_initial():
-    result = RunResult(
-        variant="rad", noise_mean=0.3, repetition=0, seed=0,
-        initial_accuracy=0.41, reports=[],
-    )
+    result = RunResult(repetition=0, seed=0, initial_accuracy=0.41, reports=[])
     assert result.final_accuracy == 0.41
     assert result.final_A == 0.0
     assert result.final_A_truth == 0.0

@@ -621,6 +621,10 @@ def test_spec_validation():
         ClassifierSpec(kind="mlp", num_classes=3, mlp_hidden=())
     with pytest.raises(ValueError):
         ClassifierSpec(kind="mlp", num_classes=3, mlp_learning_rate=0.0)
+    with pytest.raises(ValueError, match="mlp_epochs must be >= 1, got 0"):
+        ClassifierSpec(kind="mlp", num_classes=3, mlp_epochs=0)
+    with pytest.raises(ValueError, match="mlp_batch_size must be >= 1, got 0"):
+        ClassifierSpec(kind="mlp", num_classes=3, mlp_batch_size=0)
 
 
 def test_knn_chunked_prediction_matches_unchunked():
