@@ -59,7 +59,11 @@ def _parse_overrides(extras: list[str]) -> dict[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    try:
+        args, extras = parser.parse_known_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message, or the help; the caller gets the code
+        return exc.code
     try:
         overrides = _parse_overrides(extras)
         mapping = {**harness.load_config_file(args.config), **overrides}

@@ -185,20 +185,36 @@ def voting_filter(
 
 
 def _retrain_if_pool_grew(state: FrameworkState) -> None:
-    """Retrain both models on the pool, unless nothing was added since last time.
+    """Retrain the classifier on the pool, unless nothing was added since last time.
 
     The classifier was last trained, fresh, on the whole pool as it then was.
+    The label model follows it on its next read, in :func:`_label_model`.
     """
-    if len(state.clean_pool) == state.classifier.trained_on_count:
-        return
-    state.classifier = train_model(state.classifier.spec, state.clean_pool, state.rng)
-    if state.label_model is not None:
-        state.label_model = train_model(state.label_model.spec, state.clean_pool, state.rng)
+    if len(state.clean_pool) != state.classifier.trained_on_count:
+        state.classifier = train_model(state.classifier.spec, state.clean_pool, state.rng)
+
+
+def _label_model(state: FrameworkState) -> ClassifierModel:
+    """The label model, first retrained on the pool if the classifier was since.
+
+    Training waits for the read, so the retrain after the last arrival, which
+    nothing reads, never runs. Both models then see the same pool rows, and
+    nothing draws from ``state.rng`` between the two retrains.
+    """
+    model = state.label_model
+    if model.trained_on_count != state.classifier.trained_on_count:
+        if len(state.clean_pool) != state.classifier.trained_on_count:
+            raise RuntimeError(
+                f"the pool grew to {len(state.clean_pool)} rows after the classifier "
+                f"was trained on {state.classifier.trained_on_count}"
+            )
+        state.label_model = model = train_model(model.spec, state.clean_pool, state.rng)
+    return model
 
 
 def rad_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
     """Base variant: keep what the label model confirms, drop the rest."""
-    selected, _, _ = cleanse(state.label_model, batch.instances)
+    selected, _, _ = cleanse(_label_model(state), batch.instances)
     state.clean_pool.append(selected)
     _retrain_if_pool_grew(state)
     return state, state.report(batch, selected)
@@ -213,7 +229,7 @@ def voting_step(
     on the grown pool, and the two largest history groups get reprocessed
     under the fresh models.
     """
-    agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
+    agreed, disagreed, preds = cleanse(_label_model(state), batch.instances)
     accepted, rejected = voting_filter(disagreed, preds, state.classifier)
     selected = agreed + accepted
     state.clean_pool.append(selected)
@@ -228,13 +244,13 @@ def voting_step(
 def reprocess_history(state: FrameworkState) -> None:
     """Re-run the voting rule over the two largest inactive groups.
 
-    Newly accepted instances join the pool right away but the models are not
-    retrained here; they pick the additions up on the next arrival. Survivors
+    Newly accepted instances join the pool right away, but no model is
+    trained on them here; they pick the additions up on the next arrival. Survivors
     re-enter the history, which stays sorted by size, largest first.
     """
     survivors: list[list[LabeledInstance]] = []
     for group in state.inactive[:2]:
-        preds = predict_batch(state.label_model, group)
+        preds = predict_batch(_label_model(state), group)
         accepted, rejected = voting_filter(group, preds, state.classifier)
         state.clean_pool.append(accepted)
         if rejected:
@@ -265,7 +281,7 @@ def active_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, Ba
     sampled uniformly and the rest of the disagreements are discarded. No
     inactive history is kept.
     """
-    agreed, disagreed, preds = cleanse(state.label_model, batch.instances)
+    agreed, disagreed, preds = cleanse(_label_model(state), batch.instances)
     accepted, undecided = voting_filter(disagreed, preds, state.classifier)
     queried = _ask_oracle(state, undecided, len(batch.instances))
     selected = agreed + accepted + queried

@@ -247,6 +247,10 @@ class CentroidModel:
         return self.classes[d2.argmin(axis=1)]
 
 
+# an MLP pass's outputs, deltas and ReLU masks by layer, and its softmax column
+_Scratch = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]
+
+
 class MlpModel:
     """Fully connected net: ReLU hidden layers, softmax output, mean CE loss.
 
@@ -285,18 +289,40 @@ class MlpModel:
             start = stop + fan_out
         return weights, biases
 
-    def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        activations = [X]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.dot(activations[-1], W)
-            h += b
-            activations.append(np.maximum(h, 0.0, out=h))
-        probs = np.dot(activations[-1], self.weights[-1])
-        probs += self.biases[-1]
-        probs -= probs.max(axis=1, keepdims=True)
+    def _scratch(self, rows: int) -> _Scratch:
+        """Buffers for one forward and backward pass over a batch of ``rows`` rows.
+
+        Each layer's output; each hidden layer's delta and ReLU mask; and one
+        column for the softmax's row maxima and sums.
+        """
+        hidden = [fan_out for _, fan_out in self._shapes[:-1]]
+        return (
+            [np.empty((rows, width)) for width in [*hidden, self.spec.num_classes]],
+            [np.empty((rows, width)) for width in hidden],
+            [np.empty((rows, width)) for width in hidden],
+            np.empty((rows, 1)),
+        )
+
+    def _forward(
+        self, X: np.ndarray, outputs: list[np.ndarray | None], column: np.ndarray | None
+    ) -> list[np.ndarray]:
+        """Every layer's input, ``X`` first, then the softmax probabilities.
+
+        Layer i writes its output into ``outputs[i]``, and the softmax writes
+        its row maxima and sums into ``column``; ``None`` allocates instead.
+        """
+        inputs = [X]
+        for W, b, h in zip(self.weights[:-1], self.biases[:-1], outputs[:-1]):
+            h = np.dot(inputs[-1], W, h)
+            np.add(h, b, out=h)
+            inputs.append(np.maximum(h, 0.0, out=h))
+        probs = np.dot(inputs[-1], self.weights[-1], outputs[-1])
+        np.add(probs, self.biases[-1], out=probs)
+        np.subtract(probs, np.maximum.reduce(probs, axis=1, out=column, keepdims=True), out=probs)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return activations, probs
+        np.divide(probs, np.add.reduce(probs, axis=1, out=column, keepdims=True), out=probs)
+        inputs.append(probs)
+        return inputs
 
     def _gradients(
         self,
@@ -304,25 +330,33 @@ class MlpModel:
         targets: np.ndarray,
         grads_w: list[np.ndarray],
         grads_b: list[np.ndarray],
+        scratch: _Scratch,
     ) -> None:
         """Write the mean cross-entropy gradients for one batch into the views.
 
         ``targets`` is the batch's one-hot labels. Subtracting its zeros
         leaves every probability unchanged, as indexing out the true class
-        would.
+        would. ``scratch`` comes from :meth:`_scratch` for the batch's rows.
         """
-        activations, delta = self._forward(X)
-        delta -= targets
-        delta /= len(X)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            np.dot(activations[layer].T, delta, out=grads_w[layer])
-            delta.sum(axis=0, out=grads_b[layer])
-            if layer:
-                delta = np.dot(delta, self.weights[layer].T)
-                delta *= activations[layer] > 0.0
+        outputs, deltas, masks, column = scratch
+        *inputs, delta = self._forward(X, outputs, column)
+        np.subtract(delta, targets, out=delta)
+        np.divide(delta, len(X), out=delta)
+        for layer in range(len(inputs) - 1, 0, -1):
+            a = inputs[layer]
+            np.dot(a.T, delta, grads_w[layer])
+            np.add.reduce(delta, axis=0, out=grads_b[layer])
+            delta = np.dot(delta, self.weights[layer].T, deltas[layer - 1])
+            # a ReLU output is +0.0 or positive (no weight or bias is ever
+            # -0.0, so neither is XW + b), and its sign is the 0/1 mask of
+            # the units that fired
+            np.multiply(delta, np.sign(a, out=masks[layer - 1]), out=delta)
+        np.dot(X.T, delta, grads_w[0])
+        np.add.reduce(delta, axis=0, out=grads_b[0])
 
     def predict_proba(self, queries: np.ndarray) -> np.ndarray:
-        return self._forward(queries)[1]
+        # with no buffers given, every layer's output is a new array
+        return self._forward(queries, [None] * len(self.weights), None)[-1]
 
     def predict_many(self, queries: np.ndarray) -> np.ndarray:
         return self.predict_proba(queries).argmax(axis=1)
@@ -338,7 +372,8 @@ class MlpModel:
         probs = self.predict_proba(X)
         loss = float(-np.log(probs[np.arange(len(X)), y] + 1e-300).mean())
         grads_w, grads_b = self._views(np.empty_like(self.params))
-        self._gradients(X, np.eye(self.spec.num_classes)[y], grads_w, grads_b)
+        onehot = np.eye(self.spec.num_classes)[y]
+        self._gradients(X, onehot, grads_w, grads_b, self._scratch(len(X)))
         return loss, grads_w, grads_b
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng) -> None:
@@ -346,14 +381,23 @@ class MlpModel:
         size = spec.mlp_batch_size
         grads = np.empty_like(self.params)
         grads_w, grads_b = self._views(grads)
-        onehot = np.eye(spec.num_classes)
+        # the buffers of a full batch, and of the short last one
+        full, last = self._scratch(min(size, len(X))), self._scratch(len(X) % size or size)
+        onehot = np.eye(spec.num_classes)[y]
+        X_epoch, targets = np.empty_like(X), np.empty_like(onehot)
         for _ in range(spec.mlp_epochs):
             order = rng.permutation(len(X))
-            # gathered once per epoch, so each step takes plain slices
-            X_epoch, targets = X[order], onehot[y[order]]
+            # each epoch is gathered into the same arrays, so each step takes
+            # plain slices; ``order`` is a permutation, so "clip" never clips,
+            # and with it ``take`` writes straight into ``out``
+            np.take(X, order, axis=0, out=X_epoch, mode="clip")
+            np.take(onehot, order, axis=0, out=targets, mode="clip")
             for start in range(0, len(X), size):
                 stop = start + size
-                self._gradients(X_epoch[start:stop], targets[start:stop], grads_w, grads_b)
+                self._gradients(
+                    X_epoch[start:stop], targets[start:stop], grads_w, grads_b,
+                    full if stop <= len(X) else last,
+                )
                 grads *= spec.mlp_learning_rate
                 self.params -= grads
         self.trained_on_count += len(y)

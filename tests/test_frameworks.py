@@ -271,6 +271,16 @@ def test_no_selection_skips_retraining(monkeypatch):
     assert state.label_model is label_before
 
 
+def test_label_model_never_trains_on_rows_the_classifier_has_not_seen(monkeypatch):
+    label = StubModel(default=0)
+    state = stubbed_state(monkeypatch, "rad", label, StubModel(), [make_inst(0, 0)])
+    state, _ = frameworks.rad_step(state, Batch(index=1, instances=[make_inst(10, 0)]))
+    assert (label.trained_on_count, state.classifier.trained_on_count) == (1, 2)
+    state.clean_pool.append([make_inst(11, 0)])
+    with pytest.raises(RuntimeError, match="pool grew to 3 rows"):
+        frameworks._label_model(state)
+
+
 # ---------------------------------------------------------------------------
 # oracle and budget
 
@@ -553,10 +563,49 @@ def test_active_asks_the_oracle_only_when_its_two_models_differ(
     oracle = state.oracle = CountingOracle()
     rejected = 0
     for batch in arrivals:
-        rejected += len(cleanse(state.label_model, batch.instances)[1])
+        rejected += len(cleanse(frameworks._label_model(state), batch.instances)[1])
         state, _ = frameworks.step(state, batch)
     assert rejected > 0  # the label model did reject labels
     assert (len(oracle.asked) > 0) == asks
+
+
+def test_rad_fits_its_label_model_once_per_arrival_on_the_classifiers_rows(monkeypatch):
+    # the label model retrains on its first read after the pool grew, so the
+    # fit after the last arrival, which nothing reads, never runs
+    initial, arrivals, _ = small_stream(num_batches=5, noise=0.2)
+    label_spec = ClassifierSpec(kind="mlp", num_classes=3, mlp_hidden=(6,), mlp_epochs=2)
+    real_train, real_cleanse = frameworks.train_model, frameworks.cleanse
+    label_fits = 0
+    screened_by: list[np.ndarray] = []  # the rows behind each screening label model
+
+    def counting_train(spec, pool, rng):
+        nonlocal label_fits
+        model = real_train(spec, pool, rng)
+        if spec is label_spec:
+            label_fits += 1
+            model.fit_rows = pool.X.copy()
+        return model
+
+    def recording_cleanse(model, instances):
+        screened_by.append(model.fit_rows)
+        return real_cleanse(model, instances)
+
+    monkeypatch.setattr(frameworks, "train_model", counting_train)
+    monkeypatch.setattr(frameworks, "cleanse", recording_cleanse)
+    state = initialize(
+        "rad", initial, label_spec, ClassifierSpec(kind="knn", num_classes=3, knn_k=3),
+        np.random.default_rng(0),
+    )
+    classifier_rows = []  # the classifier's rows at the end of the previous arrival
+    for batch in arrivals:
+        classifier_rows.append(state.classifier.X.copy())
+        pool_before = len(state.clean_pool)
+        state, _ = frameworks.step(state, batch)
+        assert len(state.clean_pool) > pool_before  # so every later arrival retrains
+    assert label_fits == len(arrivals)  # in initialize, then before each later screen
+    assert len(screened_by) == len(arrivals)
+    for rows, expected in zip(screened_by, classifier_rows):
+        assert rows.tobytes() == expected.tobytes()
 
 
 def test_step_runs_a_baseline_state():

@@ -652,13 +652,34 @@ def test_cli_rejects_malformed_overrides(tmp_path, capsys):
     assert "override" in captured.err or "key=value" in captured.err
     # argparse rejects "--=1" as an ambiguous abbreviation before the override
     # parser sees it; the parser's own check stands behind that
-    with pytest.raises(SystemExit) as exit_info:
-        cli_main(["run", "--config", str(config), "--=1"])
+    code = cli_main(["run", "--config", str(config), "--=1"])
     captured = capsys.readouterr()
-    assert exit_info.value.code == 2
+    assert code == 2
     assert "--=1" in captured.err and captured.out == ""
     with pytest.raises(ConfigError, match="override '--=1' has no key"):
         _parse_overrides(["--=1"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "--config"),
+        (["sail", "--config", "c.cfg"], "invalid choice"),
+        (["gen-synthetic", "--config", "c.cfg"], "--out"),
+        ([], "command"),
+    ],
+)
+def test_cli_returns_2_with_the_parsers_message(argv, message, capsys):
+    # called in-process, as the benchmark calls it: an exit code, not SystemExit
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err and captured.out == ""
+
+
+def test_cli_help_returns_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert "gen-synthetic" in capsys.readouterr().out
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

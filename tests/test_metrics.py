@@ -160,8 +160,7 @@ def test_aggregate_means_and_variances_match_numpy():
     assert summary.repetitions == 3
 
 
-def test_aggregate_rejects_mixed_configurations():
-    # only the empty case is left: run_matrix aggregates one config at a time
+def test_aggregate_rejects_no_results():
     with pytest.raises(ValueError, match="at least one"):
         aggregate_runs([])
 

@@ -280,8 +280,11 @@ def reference_fit(model: MlpModel, X: np.ndarray, y: np.ndarray, rng) -> None:
 
 @pytest.mark.parametrize("hidden", [(1,), (8,), (28, 28), (4, 3, 5)])
 @pytest.mark.parametrize("num_classes", [2, 4, 5])
-@pytest.mark.parametrize("n, batch_size", [(1, 32), (23, 5), (10, 32)])
+@pytest.mark.parametrize("n, batch_size", [(1, 32), (23, 5), (10, 32), (33, 8)])
 def test_mlp_fit_is_bit_identical_to_the_per_layer_loop(hidden, num_classes, n, batch_size):
+    # the cases pin the per-fit scratch buffers: a 1-row fit, a ragged last
+    # batch (of one row at n=33), a batch larger than the fit, three hidden
+    # layers, and warm-start fits on the same model, as slimmed makes them
     rng = np.random.default_rng(1000 * n + 10 * num_classes + len(hidden))
     X = rng.normal(size=(n, 7)) * 3
     # the top class never occurs, so its output column is trained on absence only
@@ -292,13 +295,15 @@ def test_mlp_fit_is_bit_identical_to_the_per_layer_loop(hidden, num_classes, n, 
     )
     fused = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
     looped = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
-    # a second fit with a new rng warm-starts from the first one's weights
-    for seed in (2, 3):
-        fused.fit(X, y, np.random.default_rng(seed))
-        reference_fit(looped, X, y, np.random.default_rng(seed))
+    # later fits with a new rng warm-start from the weights before them; the
+    # last one sees fewer rows, so its buffers are sized anew
+    fits = [(X, y, 2), (X, y, 3), (X[: n // 2 + 1], y[: n // 2 + 1], 4)]
+    for rows, labels, seed in fits:
+        fused.fit(rows, labels, np.random.default_rng(seed))
+        reference_fit(looped, rows, labels, np.random.default_rng(seed))
         for a, b in zip(fused.weights + fused.biases, looped.weights + looped.biases):
             assert a.tobytes() == b.tobytes()
-    assert fused.trained_on_count == looped.trained_on_count == 2 * n
+    assert fused.trained_on_count == looped.trained_on_count == 2 * n + n // 2 + 1
 
 
 def test_mlp_learns_separated_blobs():

@@ -112,6 +112,7 @@ def run_and_check(case) -> CountingOracle:
         )
         delivered.update(id(inst) for inst in batch.instances)
         calls_before = oracle.calls
+        trained_before = state.classifier.trained_on_count
         state, report = frameworks.step(state, batch)
         reports.append(report)
 
@@ -126,7 +127,13 @@ def run_and_check(case) -> CountingOracle:
         assert state.classifier.spec is case["classifier_spec"]
         if case["variant"] in LABEL_MODEL_VARIANTS:
             assert state.label_model.spec is case["label_spec"]
-            assert state.label_model.trained_on_count == state.classifier.trained_on_count
+            # the label model retrains on its first read after the classifier
+            # did, so it is either current or one retrain behind a classifier
+            # trained on the whole pool
+            assert state.label_model.trained_on_count == state.classifier.trained_on_count or (
+                state.label_model.trained_on_count == trained_before
+                and state.classifier.trained_on_count == len(state.clean_pool)
+            )
         if case["variant"] != "slimmed":  # slimmed trains on a window
             trained = state.classifier.trained_on_count
             assert trained <= len(state.clean_pool)
