@@ -1,18 +1,16 @@
 """Streaming cleanse-then-classify variants.
 
 Every variant keeps a classifier trained only on instances it believes are
-clean. The base variant trusts a separate label-quality model; ``voting``
-lets the classifier second the label model and banks rejects for later
-reconsideration; ``active`` escalates disagreements to an oracle (optionally
-budgeted); ``slimmed`` drops the label model entirely and retrains on a
-sliding window instead of the full pool.
+clean. Each is one :class:`Kind` in ``KINDS``: the base ``rad`` keeps what a
+separate label-quality model confirms; ``voting`` lets the classifier second
+the label model and banks rejects for later reconsideration; ``active``
+escalates disagreements to an oracle (optionally budgeted); ``slimmed``
+drops the label model and retrains on a sliding window instead of the pool.
 
 The three baselines in :mod:`cleanstream.baselines` run on the same state:
 they are selection rules with no label model. :func:`step` is the one entry
-for an arrival of any of the seven kinds.
-
-All step functions mutate the passed state in place and return it together
-with a per-batch report.
+for an arrival of any of the seven kinds. It mutates the passed state in
+place and returns it together with a per-batch report.
 """
 
 from __future__ import annotations
@@ -37,10 +35,35 @@ from .models import (
 )
 from .models import train as train_model
 
-VARIANTS = ("rad", "voting", "active", "slimmed")
+
+@dataclass(frozen=True)
+class Kind:
+    """What a variant does with an arrival besides keeping what its screen confirms.
+
+    ``vote``: the classifier seconds the label model's rejects. ``oracle``:
+    whatever is still rejected goes to the oracle, within the budget.
+    ``history``: rejects are banked, then the history is reprocessed.
+    ``window``: the classifier screens instead of the label model, and trains
+    on this arrival's keepers and the previous arrival's oracle answers, not
+    on the pool, so each oracle batch is trained on twice.
+    """
+
+    vote: bool = False
+    oracle: bool = False
+    history: bool = False
+    window: bool = False
+
+
+KINDS = {
+    "rad": Kind(),
+    "voting": Kind(vote=True, history=True),
+    "active": Kind(vote=True, oracle=True),
+    "slimmed": Kind(oracle=True, window=True),
+}
+VARIANTS = tuple(KINDS)
 BASELINE_KINDS = tuple(baselines.SELECTION_RULES)
 ALL_VARIANTS = VARIANTS + BASELINE_KINDS
-LABEL_MODEL_VARIANTS = ("rad", "voting", "active")
+LABEL_MODEL_VARIANTS = tuple(name for name, kind in KINDS.items() if not kind.window)
 
 
 class GroundTruthOracle:
@@ -114,8 +137,8 @@ def initialize(
 ) -> FrameworkState:
     """Seed the pool and models from the truly clean part of the first batch.
 
-    Serves every variant and baseline; only the variants in
-    ``LABEL_MODEL_VARIANTS`` train a label model, and the state keeps the
+    Serves every variant and baseline; only the ``KINDS`` without a window,
+    ``LABEL_MODEL_VARIANTS``, train a label model, and the state keeps the
     oracle ``budget`` for the kinds that ask. The first batch is assumed
     mostly trustworthy; only its genuinely clean instances are used, and a
     batch with none is an error because nothing could be learned safely.
@@ -212,35 +235,6 @@ def _label_model(state: FrameworkState) -> ClassifierModel:
     return model
 
 
-def rad_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
-    """Base variant: keep what the label model confirms, drop the rest."""
-    selected, _, _ = cleanse(_label_model(state), batch.instances)
-    state.clean_pool.append(selected)
-    _retrain_if_pool_grew(state)
-    return state, state.report(batch, selected)
-
-
-def voting_step(
-    state: FrameworkState, batch: Batch
-) -> tuple[FrameworkState, BatchReport]:
-    """Voting variant: classifier seconds the label model; rejects are banked.
-
-    Rejected instances join the size-ordered inactive history, models retrain
-    on the grown pool, and the two largest history groups get reprocessed
-    under the fresh models.
-    """
-    agreed, disagreed, preds = cleanse(_label_model(state), batch.instances)
-    accepted, rejected = voting_filter(disagreed, preds, state.classifier)
-    selected = agreed + accepted
-    state.clean_pool.append(selected)
-    if rejected:
-        state.inactive.append(rejected)
-        state.inactive.sort(key=len, reverse=True)
-    _retrain_if_pool_grew(state)
-    reprocess_history(state)
-    return state, state.report(batch, selected)
-
-
 def reprocess_history(state: FrameworkState) -> None:
     """Re-run the voting rule over the two largest inactive groups.
 
@@ -273,59 +267,38 @@ def _ask_oracle(
     return asked
 
 
-def active_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
-    """Active variant: escalate voting disagreements to the oracle.
-
-    Queried instances get their given label overwritten by the oracle's
-    answer and always enter the pool; with a budget, the queried subset is
-    sampled uniformly and the rest of the disagreements are discarded. No
-    inactive history is kept.
-    """
-    agreed, disagreed, preds = cleanse(_label_model(state), batch.instances)
-    accepted, undecided = voting_filter(disagreed, preds, state.classifier)
-    queried = _ask_oracle(state, undecided, len(batch.instances))
-    selected = agreed + accepted + queried
-    state.clean_pool.append(selected)
-    _retrain_if_pool_grew(state)
-    return state, state.report(batch, selected, oracle_queries=len(queried))
-
-
-def slimmed_step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
-    """Slimmed variant: no label model, no full-pool retraining.
-
-    The classifier itself screens the batch: confirmed labels are kept as-is,
-    every other instance goes to the oracle (subject to the budget; unsampled
-    ones are discarded). Training touches only the current batch's keepers,
-    the current oracle answers, and the previous arrival's oracle answers, so
-    each oracle batch is trained on exactly twice.
-    """
-    agreed, disagreed, _ = cleanse(state.classifier, batch.instances)
-    queried = _ask_oracle(state, disagreed, len(batch.instances))
-
-    window = agreed + queried + state.prev_oracle_batch
-    if window:
-        if isinstance(state.classifier, MlpModel):
-            state.classifier.fit(
-                features_matrix(window), given_labels(window), state.rng
-            )
-        else:
-            state.classifier = train_model(state.classifier.spec, window, state.rng)
-
-    selected = agreed + queried
-    state.clean_pool.append(selected)
-    state.prev_oracle_batch = queried
-    return state, state.report(batch, selected, oracle_queries=len(queried))
-
-
-VARIANT_STEPS = {
-    "rad": rad_step,
-    "voting": voting_step,
-    "active": active_step,
-    "slimmed": slimmed_step,
-}
-
-
 def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:
-    """Run one arrival through the state's variant or baseline: the entry for every kind."""
-    # baselines.step is looked up on each call, so a wrapper set on it is the one that runs
-    return VARIANT_STEPS.get(state.variant, baselines.step)(state, batch)
+    """Run one arrival through the state's kind: the entry for all seven.
+
+    A variant screens the batch, keeps what its screen confirms, and takes
+    its kind's extra steps on the rest: the vote, the oracle, the banked
+    history. A baseline goes to :func:`cleanstream.baselines.step`.
+    """
+    kind = KINDS.get(state.variant)
+    if kind is None:
+        # baselines.step is looked up on each call, so a wrapper set on it is the one that runs
+        return baselines.step(state, batch)
+    screen = state.classifier if kind.window else _label_model(state)
+    selected, rejected, preds = cleanse(screen, batch.instances)
+    if kind.vote:
+        accepted, rejected = voting_filter(rejected, preds, state.classifier)
+        selected += accepted
+    queried = _ask_oracle(state, rejected, len(batch.instances)) if kind.oracle else []
+    selected += queried
+    if kind.window:
+        # an MLP warm-starts on the window; the other models are trained afresh on it
+        window = selected + state.prev_oracle_batch
+        if window and isinstance(state.classifier, MlpModel):
+            state.classifier.fit(features_matrix(window), given_labels(window), state.rng)
+        elif window:
+            state.classifier = train_model(state.classifier.spec, window, state.rng)
+        state.prev_oracle_batch = queried
+    state.clean_pool.append(selected)
+    if kind.history and rejected:
+        state.inactive.append(rejected)
+        state.inactive.sort(key=len, reverse=True)
+    if not kind.window:
+        _retrain_if_pool_grew(state)
+    if kind.history:
+        reprocess_history(state)
+    return state, state.report(batch, selected, oracle_queries=len(queried))

@@ -247,6 +247,12 @@ class CentroidModel:
         return self.classes[d2.argmin(axis=1)]
 
 
+def _check_labels(y: np.ndarray, num_classes: int) -> None:
+    """Raise ``ValueError`` unless every label is a class index in 0..num_classes-1."""
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(f"labels outside 0..{num_classes - 1}: range {y.min()}..{y.max()}")
+
+
 # an MLP pass's outputs, deltas and ReLU masks by layer, and its softmax column
 _Scratch = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]
 
@@ -369,6 +375,7 @@ class MlpModel:
         The gradients are those a ``fit`` step takes, in arrays of their own
         that a later call leaves alone.
         """
+        _check_labels(y, self.spec.num_classes)
         probs = self.predict_proba(X)
         loss = float(-np.log(probs[np.arange(len(X)), y] + 1e-300).mean())
         grads_w, grads_b = self._views(np.empty_like(self.params))
@@ -378,6 +385,7 @@ class MlpModel:
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng) -> None:
         spec = self.spec
+        _check_labels(y, spec.num_classes)
         size = spec.mlp_batch_size
         grads = np.empty_like(self.params)
         grads_w, grads_b = self._views(grads)
@@ -417,10 +425,7 @@ def train(
     if not len(pool):
         raise ValueError("training set is empty")
     X, y = pool.X, pool.y
-    if y.min() < 0 or y.max() >= spec.num_classes:
-        raise ValueError(
-            f"labels outside 0..{spec.num_classes - 1}: range {y.min()}..{y.max()}"
-        )
+    _check_labels(y, spec.num_classes)
     if spec.kind == "knn":
         return KnnModel(spec, pool)
     if spec.kind == "centroid":

@@ -162,7 +162,7 @@ def test_rad_step_selects_exactly_label_model_agreement(monkeypatch):
     label = StubModel({10: 0, 11: 2, 12: 1}, default=4)
     state = stubbed_state(monkeypatch, "rad", label, StubModel(), [make_inst(0, 0)])
     batch = Batch(index=1, instances=[make_inst(10, 0), make_inst(11, 1), make_inst(12, 1)])
-    state, report = frameworks.rad_step(state, batch)
+    state, report = frameworks.step(state, batch)
     assert sorted(i.uid for i in state.clean_pool) == [0, 10, 12]
     assert report.selected_count == 2
     assert report.inactive_total == 0
@@ -187,7 +187,7 @@ def test_voting_walkthrough_over_three_arrivals(monkeypatch):
             make_inst(13, 1, true=1),
         ],
     )
-    state, report1 = frameworks.voting_step(state, batch1)
+    state, report1 = frameworks.step(state, batch1)
     assert sorted(i.uid for i in state.clean_pool) == [0, 1, 10, 11, 12]
     assert batch1.instances[2].given_label == 0
     assert report1.selected_count == 3
@@ -196,7 +196,7 @@ def test_voting_walkthrough_over_three_arrivals(monkeypatch):
 
     # arrival 2: 20 confirmed, 21 rejected; history group {13} reprocessed, stays
     batch2 = Batch(index=2, instances=[make_inst(20, 2), make_inst(21, 0)])
-    state, report2 = frameworks.voting_step(state, batch2)
+    state, report2 = frameworks.step(state, batch2)
     assert sorted(i.uid for i in state.clean_pool) == [0, 1, 10, 11, 12, 20]
     assert report2.selected_count == 1
     assert report2.inactive_total == 2
@@ -205,7 +205,7 @@ def test_voting_walkthrough_over_three_arrivals(monkeypatch):
     # arrival 3: classifier flips its answer for 13 -> history acceptance
     clf.answers[13] = 1  # now confirms the given label
     batch3 = Batch(index=3, instances=[make_inst(30, 0)])
-    state, report3 = frameworks.voting_step(state, batch3)
+    state, report3 = frameworks.step(state, batch3)
     assert sorted(i.uid for i in state.clean_pool) == [0, 1, 10, 11, 12, 13, 20, 30]
     assert [i.uid for i in state.clean_pool].count(13) == 1  # accepted exactly once
     assert report3.inactive_total == 1  # only {21} left
@@ -264,7 +264,7 @@ def test_no_selection_skips_retraining(monkeypatch):
 
     monkeypatch.setattr(frameworks, "train_model", counting_train)
     clf_before, label_before = state.classifier, state.label_model
-    state, report = frameworks.rad_step(state, Batch(index=1, instances=[make_inst(10, 0)]))
+    state, report = frameworks.step(state, Batch(index=1, instances=[make_inst(10, 0)]))
     assert report.selected_count == 0
     assert trains == []
     assert state.classifier is clf_before
@@ -274,7 +274,7 @@ def test_no_selection_skips_retraining(monkeypatch):
 def test_label_model_never_trains_on_rows_the_classifier_has_not_seen(monkeypatch):
     label = StubModel(default=0)
     state = stubbed_state(monkeypatch, "rad", label, StubModel(), [make_inst(0, 0)])
-    state, _ = frameworks.rad_step(state, Batch(index=1, instances=[make_inst(10, 0)]))
+    state, _ = frameworks.step(state, Batch(index=1, instances=[make_inst(10, 0)]))
     assert (label.trained_on_count, state.classifier.trained_on_count) == (1, 2)
     state.clean_pool.append([make_inst(11, 0)])
     with pytest.raises(RuntimeError, match="pool grew to 3 rows"):
@@ -348,7 +348,7 @@ def test_active_step_queries_only_double_disagreements(monkeypatch):
     )
     # 10 label-confirmed; 11 classifier-confirms given; 12 disagrees twice -> oracle
     state.oracle = oracle
-    state, report = frameworks.active_step(state, batch)
+    state, report = frameworks.step(state, batch)
     assert oracle.asked == [12]
     assert batch.instances[2].given_label == 1  # overwritten with the true label
     assert batch.instances[2].is_clean
@@ -364,7 +364,7 @@ def test_active_step_budget_discards_unsampled(monkeypatch):
     batch = Batch(index=1, instances=[make_inst(u, 1, true=0) for u in range(10, 20)])
     state.budget = OracleBudget(fraction=0.3)
     state.rng = np.random.default_rng(1)
-    state, report = frameworks.active_step(state, batch)
+    state, report = frameworks.step(state, batch)
     assert report.oracle_queries == 3  # floor(0.3 * 10)
     assert report.selected_count == 3
     assert state.inactive == []
@@ -417,7 +417,7 @@ def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches(monkeypatch):
         preds = predict_batch(state.classifier, batch.instances)
         agreed = [i.uid for i, p in zip(batch.instances, preds) if p == i.given_label]
         disagreed = [i.uid for i, p in zip(batch.instances, preds) if p != i.given_label]
-        state, report = frameworks.slimmed_step(state, batch)
+        state, report = frameworks.step(state, batch)
         assert len(windows) == 1  # one fresh fit per arrival
         window = sorted(windows.pop())
         assert window == sorted(agreed + disagreed + prev_queried)
@@ -438,7 +438,7 @@ def test_slimmed_oracle_batches_are_trained_on_exactly_twice(monkeypatch):
     queried_per_arrival: list[list[int]] = []
     for batch in arrivals:
         before = len(oracle.asked)
-        state, _ = frameworks.slimmed_step(state, batch)
+        state, _ = frameworks.step(state, batch)
         queried_per_arrival.append(oracle.asked[before:])
         assert len(windows) == len(queried_per_arrival)
     appearances = {}
@@ -460,7 +460,7 @@ def test_slimmed_mlp_warm_starts_instead_of_retraining():
     model = state.classifier
     assert isinstance(model, MlpModel)
     for batch in arrivals:
-        state, _ = frameworks.slimmed_step(state, batch)
+        state, _ = frameworks.step(state, batch)
         assert state.classifier is model  # same object, weights updated in place
 
 
@@ -472,7 +472,7 @@ def test_slimmed_budget_caps_queries_and_discards_rest():
     assert state.budget is budget
     for batch in arrivals:
         pool_before = len(state.clean_pool)
-        state, report = frameworks.slimmed_step(state, batch)
+        state, report = frameworks.step(state, batch)
         assert report.oracle_queries <= 2  # floor(0.2 * 10)
         assert len(state.clean_pool) - pool_before == report.selected_count
         assert report.selected_count <= len(batch.instances)
@@ -509,7 +509,7 @@ def test_voting_conservation_with_real_models(monkeypatch):
     )
     for batch in arrivals:
         events.clear()
-        state, report = frameworks.voting_step(state, batch)
+        state, report = frameworks.step(state, batch)
         assert events[0][0] == "cleanse"
         clean, dirty = events[0][1], events[0][2]
         assert events[1][0] == "filter"

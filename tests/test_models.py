@@ -360,6 +360,20 @@ def test_mlp_fit_warm_starts_from_current_weights():
     assert any(not np.array_equal(w0, w1) for w0, w1 in zip(before, model.weights))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_mlp_fit_rejects_labels_outside_the_classes(bad):
+    # a one-hot by indexing would train class 2 on a label of -1
+    model = MlpModel(mlp_spec(num_classes=3), num_features=2, rng=np.random.default_rng(0))
+    before = model.params.copy()
+    X, y = np.zeros((2, 2)), np.array([0, bad])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        model.fit(X, y, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="outside 0..2"):
+        model.loss_and_grads(X, y)
+    assert model.params.tobytes() == before.tobytes()
+    assert model.trained_on_count == 0
+
+
 # ---------------------------------------------------------------------------
 # shared wrappers
 
