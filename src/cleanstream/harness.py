@@ -35,7 +35,7 @@ from .core import (
     scale_features,
     split_stream,
 )
-from .frameworks import ALL_VARIANTS, FrameworkState, OracleBudget
+from .frameworks import ALL_VARIANTS, BASELINE_KINDS, FrameworkState, OracleBudget
 from .metrics import (
     RunResult,
     RunSummary,
@@ -62,7 +62,6 @@ class RepetitionError(RuntimeError):
         self.repetition = repetition
         self.batch_index = batch_index
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass
@@ -221,15 +220,17 @@ def _build(cls, values: dict, section: str, **fields):
         raise ConfigError(f"{section}: {exc}") from None
 
 
+def _check_kind(name: str, where: str, suffix: str = "") -> None:
+    """Raise ``ConfigError`` under ``where`` unless ``name`` is one of the seven kinds."""
+    if name not in ALL_VARIANTS:
+        raise ConfigError(f"{where}: expected one of {', '.join(ALL_VARIANTS)}{suffix}")
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a typed experiment config, rejecting unknown keys early."""
     values = _typed_values(mapping)
     variant = values["framework.variant"]
-    if variant not in ALL_VARIANTS:
-        raise ConfigError(
-            f"framework.variant: expected one of {', '.join(ALL_VARIANTS)}, "
-            f"got {variant!r}"
-        )
+    _check_kind(variant, "framework.variant", f", got {variant!r}")
     if values["run.repetitions"] < 1:
         raise ConfigError(f"run.repetitions must be >= 1, got {values['run.repetitions']}")
 
@@ -261,11 +262,7 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
     base = config_from_mapping(mapping)
     variants = _split_list(mapping.get("matrix.variants", "")) or [base.variant]
     for variant in variants:
-        if variant not in ALL_VARIANTS:
-            raise ConfigError(
-                f"matrix.variants: entry {variant!r}: expected one of "
-                f"{', '.join(ALL_VARIANTS)}"
-            )
+        _check_kind(variant, f"matrix.variants: entry {variant!r}")
     noises = []
     for level in _split_list(mapping.get("matrix.noise_levels", "")):
         where = f"matrix.noise_levels: entry {level!r}"
@@ -413,7 +410,7 @@ def _against_baselines(outcomes: list[ExperimentOutcome]):
     at = {(o.config.variant, o.config.noise.mean_level): o.summary for o in done}
     for o in done:
         noise = o.config.noise.mean_level
-        baselines = tuple(at.get((name, noise)) for name in ("no_sel", "opt_sel", "full_clean"))
+        baselines = tuple(at.get((name, noise)) for name in BASELINE_KINDS)
         no_sel, _, full_clean = baselines
         if no_sel is None or full_clean is None:
             yield o, baselines, None, None
@@ -451,9 +448,7 @@ COMPARISON_COLUMNS = (
     "variant",
     "noise",
     "initial_accuracy",
-    "no_sel",
-    "opt_sel",
-    "full_clean",
+    *BASELINE_KINDS,
     "final_accuracy",
     "improvement_room",
     "improvement",

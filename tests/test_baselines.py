@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cleanstream import baselines, frameworks
+from cleanstream import frameworks
 from cleanstream.core import Batch, LabeledInstance, StreamConfig, generate_synthetic, split_stream
+from cleanstream.frameworks import BASELINE_KINDS
 from cleanstream.harness import config_from_mapping, run_single
 from cleanstream.models import ClassifierSpec
 from cleanstream.noise import inject_symmetric_noise
@@ -61,7 +62,7 @@ def test_no_sel_takes_every_instance():
     state = initialize("no_sel", initial)
     pool_sizes = [len(state.clean_pool)]
     for batch in arrivals:
-        state, report = baselines.step(state, batch)
+        state, report = frameworks.step(state, batch)
         pool_sizes.append(len(state.clean_pool))
         assert report.selected_count == len(batch.instances)
         assert report.selected_true_clean_count == sum(
@@ -75,7 +76,7 @@ def test_opt_sel_keeps_exactly_the_truly_clean():
     state = initialize("opt_sel", initial)
     for batch in arrivals:
         clean_uids = {i.uid for i in batch.instances if i.is_clean}
-        state, report = baselines.step(state, batch)
+        state, report = frameworks.step(state, batch)
         assert report.selected_count == len(clean_uids)
         assert report.selected_true_clean_count == report.selected_count
         assert clean_uids <= {i.uid for i in state.clean_pool}
@@ -89,7 +90,7 @@ def test_full_clean_resets_labels_to_truth():
     state = initialize("full_clean", initial)
     for batch in arrivals:
         had_noise = any(not i.is_clean for i in batch.instances)
-        state, report = baselines.step(state, batch)
+        state, report = frameworks.step(state, batch)
         assert all(i.is_clean for i in batch.instances)
         assert report.selected_count == len(batch.instances)
         assert report.selected_true_clean_count == len(batch.instances)
@@ -112,17 +113,18 @@ def test_baselines_coincide_on_a_noise_free_stream():
         "noise.std": "0.0",
         "classifier.kind": "knn",
     }
-    traces = {}
-    for kind in ("no_sel", "opt_sel", "full_clean"):
+    traces = []
+    for kind in BASELINE_KINDS:
         mapping = dict(base)
         mapping["framework.variant"] = kind
         result = run_single(config_from_mapping(mapping), 0)
-        traces[kind] = (
+        traces.append((
             result.initial_accuracy,
             [r.test_accuracy for r in result.reports],
             [r.selected_count for r in result.reports],
-        )
-    assert traces["no_sel"] == traces["opt_sel"] == traces["full_clean"]
+        ))
+    first, *others = traces
+    assert others and all(trace == first for trace in others)
 
 
 def test_retrain_skipped_when_nothing_selected():
@@ -130,6 +132,6 @@ def test_retrain_skipped_when_nothing_selected():
     state = initialize("opt_sel", initial)
     model_before = state.classifier
     all_dirty = Batch(index=1, instances=[make_inst(100 + i, 1, true=0) for i in range(5)])
-    state, report = baselines.step(state, all_dirty)
+    state, report = frameworks.step(state, all_dirty)
     assert report.selected_count == 0
     assert state.classifier is model_before

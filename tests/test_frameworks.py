@@ -158,7 +158,7 @@ def test_slimmed_initialize_has_no_label_model():
 # ---------------------------------------------------------------------------
 # scripted multi-arrival walkthroughs
 
-def test_rad_step_selects_exactly_label_model_agreement(monkeypatch):
+def test_rad_selects_exactly_label_model_agreement(monkeypatch):
     label = StubModel({10: 0, 11: 2, 12: 1}, default=4)
     state = stubbed_state(monkeypatch, "rad", label, StubModel(), [make_inst(0, 0)])
     batch = Batch(index=1, instances=[make_inst(10, 0), make_inst(11, 1), make_inst(12, 1)])
@@ -337,7 +337,7 @@ def test_ask_oracle_relabels_a_uniform_subset_in_batch_order():
     assert state.oracle.asked == uids + [20, 21, 22]
 
 
-def test_active_step_queries_only_double_disagreements(monkeypatch):
+def test_active_queries_only_double_disagreements(monkeypatch):
     label = StubModel({10: 0, 11: 0, 12: 0}, default=0)
     clf = StubModel({11: 1, 12: 3}, default=0)
     state = stubbed_state(monkeypatch, "active", label, clf, [make_inst(0, 0)])
@@ -357,7 +357,7 @@ def test_active_step_queries_only_double_disagreements(monkeypatch):
     assert report.inactive_total == 0
 
 
-def test_active_step_budget_discards_unsampled(monkeypatch):
+def test_active_budget_discards_unsampled(monkeypatch):
     label = StubModel(default=9)  # everything predicted dirty
     clf = StubModel(default=8)  # everything disagrees -> all are oracle candidates
     state = stubbed_state(monkeypatch, "active", label, clf, [make_inst(0, 0)])

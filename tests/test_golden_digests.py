@@ -43,7 +43,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_knn_and_centroid_runs_match_the_golden_digests(bench, tmp_path):
+def test_tier1_runs_match_the_golden_digests(bench, tmp_path):
     golden = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
     program = SimpleNamespace(cli=cli, harness=harness)
 

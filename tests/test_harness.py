@@ -203,12 +203,35 @@ def test_repetition_error_names_batch_and_stage():
     assert err.value.repetition == 0
 
 
-def test_feature_scaling_toggle_changes_inputs():
-    plain = run_single(config_from_mapping(small_mapping()), 0)
-    scaled = run_single(config_from_mapping(small_mapping(**{"dataset.scale": "true"})), 0)
-    assert len(plain.reports) == len(scaled.reports)
-    # same stream, different feature geometry; selection usually shifts
-    assert plain.reports[0].selected_count >= 0 and scaled.reports[0].selected_count >= 0
+def test_feature_scaling_toggle_changes_inputs(monkeypatch):
+    # dataset.separation shapes the data that is split; dataset.scale maps the
+    # initial batch onto [0, 1] and every other split with the initial ranges
+    from cleanstream.core import generate_synthetic
+
+    split_stream, splits = harness.split_stream, []
+
+    def keep_split(dataset, stream, rng):
+        initial, arrivals, test = split_stream(dataset, stream, rng)
+        parts = [initial.instances, *(batch.instances for batch in arrivals), test]
+        raw = [np.stack([inst.features for inst in part]) for part in parts]
+        splits.append((np.stack([inst.features for inst in dataset]), parts, raw))
+        return initial, arrivals, test
+
+    monkeypatch.setattr(harness, "split_stream", keep_split)
+    for scale in ("false", "true"):
+        mapping = small_mapping(**{"dataset.scale": scale, "dataset.separation": "7.5"})
+        config = config_from_mapping(mapping)
+        run_single(config, 0)
+        dataset, parts, raw = splits.pop()
+        expected = generate_synthetic(config.stream, separation=7.5)
+        np.testing.assert_array_equal(dataset, np.stack([inst.features for inst in expected]))
+        lo, hi = raw[0].min(axis=0), raw[0].max(axis=0)
+        for part, before in zip(parts, raw):
+            after = np.stack([inst.features for inst in part])
+            np.testing.assert_allclose(after, (before - lo) / (hi - lo) if config.scale else before)
+        if config.scale:
+            initial = np.stack([inst.features for inst in parts[0]])
+            assert (initial.min(axis=0) == 0).all() and (initial.max(axis=0) == 1).all()
 
 
 def test_csv_dataset_source_round_trip(tmp_path):
