@@ -145,7 +145,6 @@ CONFIG_KEYS = {
     "stream.seed": (int, StreamConfig.seed),
     "stream.stratify": (_bool, StreamConfig.stratify),
     "noise.mean": (_finite_float, 0.3),
-    "noise.std_mode": (str, NoiseSpec.std_dev_mode),
     "noise.std": (_finite_float, NoiseSpec.std_dev),
     "noise.seed": (int, NoiseSpec.seed),
     "framework.variant": (str, "rad"),
@@ -199,9 +198,7 @@ def _typed_values(mapping: dict[str, str]) -> dict:
 
 
 # The options whose dataclass field has another name.
-_FIELD_NAMES = {
-    "noise.mean": "mean_level", "noise.std_mode": "std_dev_mode", "noise.std": "std_dev"
-}
+_FIELD_NAMES = {"noise.mean": "mean_level", "noise.std": "std_dev"}
 
 
 def _build(cls, values: dict, section: str, **fields):
@@ -488,7 +485,7 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
     over the baselines at its noise level (see :func:`_against_baselines`).
     """
     if not configs:
-        raise ValueError("matrix expansion produced no configs")
+        raise ValueError("run_matrix needs at least one config")
     outcomes: list[ExperimentOutcome] = []
     for config in configs:
         results: list[RunResult] = []

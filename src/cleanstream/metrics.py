@@ -30,24 +30,23 @@ class BatchReport:
 CSV_COLUMNS = tuple(f.name for f in fields(BatchReport))
 
 
-def active_fraction(reports: list[BatchReport], batch_size: int) -> float:
-    """Sum over arrivals of selected_count / batch size."""
+def _batch_share_sum(counts, batch_size: int) -> float:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     total = 0.0
-    for report in reports:
-        total += report.selected_count / batch_size
+    for count in counts:
+        total += count / batch_size
     return total
+
+
+def active_fraction(reports: list[BatchReport], batch_size: int) -> float:
+    """Sum over arrivals of selected_count / batch size."""
+    return _batch_share_sum((r.selected_count for r in reports), batch_size)
 
 
 def active_truth_fraction(reports: list[BatchReport], batch_size: int) -> float:
     """Sum over arrivals of selected-and-correctly-labelled count / batch size."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    total = 0.0
-    for report in reports:
-        total += report.selected_true_clean_count / batch_size
-    return total
+    return _batch_share_sum((r.selected_true_clean_count for r in reports), batch_size)
 
 
 def write_reports_csv(reports: list[BatchReport], path) -> None:

@@ -1,9 +1,9 @@
 """Symmetric label-noise injection with per-batch noise levels.
 
 Noise is label-only and independent of features and classes: a batch-level
-fraction is drawn from a clamped normal, and exactly that fraction of the
-batch (rounded) gets its given label flipped to a uniformly random *other*
-class. ``true_label`` is never touched.
+fraction is drawn from N(mean, std * mean) clamped to [0, 1], and exactly
+that fraction of the batch (rounded) gets its given label flipped to a
+uniformly random *other* class. ``true_label`` is never touched.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from .core import Batch
 class NoiseSpec:
     """Distribution of per-batch noise levels.
 
-    ``std_dev`` is read as a fraction of ``mean_level`` in ``relative`` mode
-    (the default, 0.2 of the mean) and as an absolute value in ``absolute``
-    mode.
+    A batch level has standard deviation ``std_dev * mean_level``: ``std_dev``
+    is the spread as a fraction of the mean (default 0.2), so mean 0 or
+    ``std_dev`` 0 draws the mean itself for every batch.
     """
 
     mean_level: float
-    std_dev_mode: str = "relative"
     std_dev: float = 0.2
     seed: int = 0
 
@@ -33,20 +32,13 @@ class NoiseSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.mean_level <= 1.0:
             raise ValueError(f"mean_level must be in [0, 1], got {self.mean_level}")
-        if self.std_dev_mode not in ("relative", "absolute"):
-            raise ValueError(
-                f"std_dev_mode must be 'relative' or 'absolute', got "
-                f"{self.std_dev_mode!r}"
-            )
         if self.std_dev < 0.0:
             raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
 
     @property
     def sigma(self) -> float:
-        """Standard deviation actually used when drawing a batch level."""
-        if self.std_dev_mode == "relative":
-            return self.std_dev * self.mean_level
-        return self.std_dev
+        """Standard deviation of a batch level: ``std_dev * mean_level``."""
+        return self.std_dev * self.mean_level
 
 
 def draw_batch_noise_level(spec: NoiseSpec, rng) -> float:

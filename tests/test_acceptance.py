@@ -8,8 +8,8 @@ through a session-scoped cache keyed by the full configuration mapping.
 The synthetic reference workload used by the ordering criteria: 4 classes,
 20 features, unit-variance Gaussian clusters with means separation 3.0
 apart at least, 1,000-instance initial batch, 20 arrivals of 300, a
-2,000-instance clean test set, 30% mean noise in relative-sigma mode, and
-3 repetitions with fixed seeds.
+2,000-instance clean test set, 30% mean noise with sigma 0.2 of the mean,
+and 3 repetitions with fixed seeds.
 """
 
 import math

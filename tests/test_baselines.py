@@ -109,7 +109,6 @@ def test_baselines_coincide_on_a_noise_free_stream():
         "stream.num_batches": "4",
         "stream.test_size": "80",
         "noise.mean": "0.0",
-        "noise.std_mode": "absolute",
         "noise.std": "0.0",
         "classifier.kind": "knn",
     }

@@ -77,6 +77,18 @@ def test_unknown_keys_are_rejected():
         config_from_mapping(small_mapping(**{"stream.nmu_classes": "4"}))
 
 
+def test_removed_noise_std_mode_is_an_unknown_key(tmp_path, capsys):
+    # the spread is always std * mean; naming the old mode key must fail
+    # rather than run with a spread the config did not ask for
+    with pytest.raises(ConfigError, match="unknown config keys: noise.std_mode"):
+        config_from_mapping(small_mapping(**{"noise.std_mode": "absolute"}))
+    config = write_config(tmp_path)
+    assert cli_main(["run", "--config", str(config), "--noise.std_mode=absolute"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown config keys: noise.std_mode" in captured.err
+    assert captured.out == ""
+
+
 def test_type_errors_name_the_key():
     with pytest.raises(ConfigError, match="stream.batch_size"):
         config_from_mapping(small_mapping(**{"stream.batch_size": "many"}))
@@ -112,7 +124,7 @@ def test_variant_and_source_validation():
 def test_defaults_and_typed_fields():
     config = config_from_mapping(small_mapping())
     assert config.stream.num_classes == 3
-    assert config.noise.std_dev_mode == "relative"
+    assert config.noise.std_dev == 0.2
     assert config.classifier_spec.kind == "knn"
     assert config.classifier_spec.num_classes == 3
     assert config.label_spec.kind == "centroid"
@@ -184,7 +196,6 @@ def test_initial_batch_noise_can_be_disabled():
     # initialization must fail; initial.clean=true rescues it
     mapping = small_mapping(**{
         "noise.mean": "1.0",
-        "noise.std_mode": "absolute",
         "noise.std": "0.0",
         "framework.variant": "no_sel",
     })
@@ -269,7 +280,6 @@ EDGE_CASES = {
     "zero_oracle_budget": {"oracle.fraction": "0"},
     "all_noise_arrivals": {
         "noise.mean": "1.0",
-        "noise.std_mode": "absolute",
         "noise.std": "0.0",
         "initial.clean": "true",
     },
@@ -337,6 +347,11 @@ def test_matrix_expands_variants_times_noise_levels():
     assert {(c.variant, c.noise.mean_level) for c in configs} == {
         (v, nz) for v in ("rad", "voting", "no_sel") for nz in (0.0, 0.4)
     }
+
+
+def test_run_matrix_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="run_matrix needs at least one config"):
+        run_matrix([])
 
 
 @pytest.mark.parametrize(
@@ -550,7 +565,7 @@ def test_cli_run_writes_results_and_prints_summary(tmp_path, capsys):
 def test_cli_override_changes_the_run(tmp_path, capsys):
     config = write_config(tmp_path)
     assert cli_main(["run", "--config", str(config), "--noise.mean=0.0",
-                     "--noise.std_mode=absolute", "--noise.std=0.0"]) == 0
+                     "--noise.std=0.0"]) == 0
     out = capsys.readouterr().out
     assert "noise=0 " in out  # the override reached the run
     assert "noise=0.3" not in out

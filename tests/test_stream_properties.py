@@ -70,10 +70,11 @@ def streams(draw):
         seed=draw(st.integers(0, 10_000)),
     )
     all_noise = draw(st.booleans())
+    mean = 1.0 if all_noise else draw(st.sampled_from([0.0, 0.3, 0.6]))
+    # sigma 0.2 at means 0.3 and 0.6; means 0 and 1 draw themselves exactly
     noise = NoiseSpec(
-        mean_level=1.0 if all_noise else draw(st.sampled_from([0.0, 0.3, 0.6])),
-        std_dev_mode="absolute",
-        std_dev=0.0 if all_noise else 0.2,
+        mean_level=mean,
+        std_dev=0.2 / mean if 0.0 < mean < 1.0 else 0.0,
         seed=stream.seed,
     )
     return {
@@ -166,7 +167,7 @@ def test_oracle_relabels_keep_the_pool_buffers_in_step(variant):
         "variant": variant,
         "separation": 0.5,
         "stream": stream,
-        "noise": NoiseSpec(mean_level=0.4, std_dev_mode="absolute", std_dev=0.0, seed=11),
+        "noise": NoiseSpec(mean_level=0.4, std_dev=0.0, seed=11),
         "initial_clean": True,
         "budget": OracleBudget(),
         "label_spec": ClassifierSpec(kind="centroid", num_classes=3),
