@@ -25,9 +25,9 @@ class LabeledInstance:
     mutations; tests name instances by it. The test-purity audit compares
     object identity, not ``uid``.
 
-    ``features`` is never written in place: it may be a read-only view of a
-    matrix whose other rows belong to other instances. Code that changes
-    features binds a new array instead.
+    ``features`` is set once, when the instance is made, and is neither
+    written nor rebound after: it may be a read-only view of a matrix whose
+    other rows belong to other instances.
     """
 
     features: np.ndarray
@@ -48,9 +48,6 @@ class Batch:
     index: int
     instances: list[LabeledInstance]
     drawn_noise_level: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
 
 @dataclass(frozen=True)
@@ -249,24 +246,3 @@ def split_stream(
     ]
     test = picked[cuts[-1] :]
     return initial, arrivals, test
-
-
-def fit_feature_ranges(instances: list[LabeledInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (min, max) over ``instances``, for min-max scaling."""
-    stacked = np.stack([inst.features for inst in instances])
-    return stacked.min(axis=0), stacked.max(axis=0)
-
-
-def scale_features(
-    instances: list[LabeledInstance], lo: np.ndarray, hi: np.ndarray
-) -> None:
-    """Rescale each instance's features to [0, 1] under the fitted ranges.
-
-    Constant features map to 0. Each instance is bound to a fresh, writable
-    array; the source arrays, which may be read-only views shared with other
-    instances, are never written.
-    """
-    span = hi - lo
-    span = np.where(span == 0, 1.0, span)
-    for inst in instances:
-        inst.features = (inst.features - lo) / span

@@ -29,10 +29,8 @@ from .core import (
     Dataset,
     LabeledInstance,
     StreamConfig,
-    fit_feature_ranges,
     generate_synthetic,
     load_csv,
-    scale_features,
     split_stream,
 )
 from .frameworks import ALL_VARIANTS, BASELINE_KINDS, FrameworkState, OracleBudget
@@ -79,7 +77,6 @@ class ExperimentConfig:
     budget: OracleBudget
     dataset_path: str | None
     separation: float
-    scale: bool
     initial_clean: bool
     repetitions: int
     output_dir: str | None
@@ -134,7 +131,6 @@ _MODEL_OPTIONS = {
 CONFIG_KEYS = {
     "dataset.path": (str, None),
     "dataset.separation": (_finite_float, 3.0),
-    "dataset.scale": (_bool, False),
     "initial.clean": (_bool, False),
     "stream.num_classes": (int, 4),
     "stream.num_features": (int, 20),
@@ -242,7 +238,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         budget=_build(OracleBudget, values, "oracle"),
         dataset_path=values["dataset.path"],
         separation=values["dataset.separation"],
-        scale=values["dataset.scale"],
         initial_clean=values["initial.clean"],
         repetitions=values["run.repetitions"],
         output_dir=values["run.output_dir"],
@@ -315,12 +310,6 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         stage = "split"
         split_rng = np.random.default_rng(config.stream.seed ^ repetition)
         initial, arrivals, test = split_stream(dataset, config.stream, split_rng)
-        if config.scale:
-            lo, hi = fit_feature_ranges(initial.instances)
-            scale_features(initial.instances, lo, hi)
-            for batch in arrivals:
-                scale_features(batch.instances, lo, hi)
-            scale_features(test, lo, hi)
 
         stage = "noise"
         noise_rng = np.random.default_rng(config.noise.seed ^ repetition)

@@ -8,17 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanstream.core import (
-    Batch,
     CsvFormatError,
     LabeledInstance,
     StreamConfig,
     StreamSizeError,
     _class_means,
-    fit_feature_ranges,
     generate_synthetic,
     load_csv,
     save_csv,
-    scale_features,
     split_stream,
 )
 
@@ -197,21 +194,14 @@ def test_generation_matches_the_per_row_copy_construction(classes, features, see
         np.testing.assert_array_equal(x.features, y.features)
 
 
-def test_generated_rows_are_read_only_and_scaling_rebinds_them():
+def test_generated_rows_are_read_only():
     dataset = generate_synthetic(make_config(seed=3))
-    before = [inst.features for inst in dataset]
+    before = dataset[0].features[0]
+    for inst in dataset:
+        assert not inst.features.flags.writeable
     with pytest.raises(ValueError):
         dataset[0].features[0] = 1.0
-    assert dataset[0].features[0] == before[0][0]
-    lo, hi = fit_feature_ranges(dataset)
-    scale_features(dataset[:10], lo, hi)
-    for inst, old in zip(dataset[:10], before):
-        assert inst.features is not old and inst.features.flags.writeable
-        inst.features[0] = 0.5  # fresh: writing it touches no other instance
-    assert all(inst.features is old for inst, old in zip(dataset[10:], before[10:]))
-    np.testing.assert_array_equal(
-        np.stack(before), np.stack([x.features for x in generate_synthetic(make_config(seed=3))])
-    )
+    assert dataset[0].features[0] == before
 
 
 def _loo_nearest_neighbour_accuracy(dataset) -> float:
@@ -383,34 +373,3 @@ def test_stratified_split_balance_bound(data):
         counts = np.bincount([inst.given_label for inst in group], minlength=k)
         assert (np.abs(counts - share * len(group)) <= 1 + k * share + 1e-9).all()
 
-
-# ---------------------------------------------------------------------------
-# feature scaling
-
-def test_minmax_scaling_maps_fit_instances_into_unit_box():
-    rng = np.random.default_rng(0)
-    fit = [
-        LabeledInstance(features=rng.normal(5, 3, size=4), given_label=0, true_label=0)
-        for _ in range(50)
-    ]
-    lo, hi = fit_feature_ranges(fit)
-    scale_features(fit, lo, hi)
-    stacked = np.stack([inst.features for inst in fit])
-    assert stacked.min() >= 0.0 and stacked.max() <= 1.0
-    assert np.isclose(stacked.min(axis=0), 0.0).all()
-    assert np.isclose(stacked.max(axis=0), 1.0).all()
-
-
-def test_scaling_handles_constant_features_and_keeps_sources():
-    original = np.array([2.0, 7.0])
-    inst = LabeledInstance(features=original, given_label=0, true_label=0)
-    lo, hi = np.array([2.0, 5.0]), np.array([2.0, 9.0])
-    scale_features([inst], lo, hi)
-    assert inst.features[0] == 0.0  # constant feature pinned to 0
-    assert inst.features[1] == 0.5
-    assert np.array_equal(original, [2.0, 7.0])
-
-
-def test_batch_len():
-    batch = Batch(index=1, instances=[LabeledInstance(np.zeros(1), 0, 0)])
-    assert len(batch) == 1

@@ -77,15 +77,16 @@ def test_unknown_keys_are_rejected():
         config_from_mapping(small_mapping(**{"stream.nmu_classes": "4"}))
 
 
-def test_removed_noise_std_mode_is_an_unknown_key(tmp_path, capsys):
-    # the spread is always std * mean; naming the old mode key must fail
-    # rather than run with a spread the config did not ask for
-    with pytest.raises(ConfigError, match="unknown config keys: noise.std_mode"):
-        config_from_mapping(small_mapping(**{"noise.std_mode": "absolute"}))
+@pytest.mark.parametrize("key, value", [("noise.std_mode", "absolute"), ("dataset.scale", "true")])
+def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
+    # the spread is always std * mean and features are used as loaded; naming
+    # a removed key must fail rather than run without what it asked for
+    with pytest.raises(ConfigError, match=f"unknown config keys: {re.escape(key)}"):
+        config_from_mapping(small_mapping(**{key: value}))
     config = write_config(tmp_path)
-    assert cli_main(["run", "--config", str(config), "--noise.std_mode=absolute"]) == 2
+    assert cli_main(["run", "--config", str(config), f"--{key}={value}"]) == 2
     captured = capsys.readouterr()
-    assert "unknown config keys: noise.std_mode" in captured.err
+    assert f"unknown config keys: {key}" in captured.err
     assert captured.out == ""
 
 
@@ -94,8 +95,8 @@ def test_type_errors_name_the_key():
         config_from_mapping(small_mapping(**{"stream.batch_size": "many"}))
     with pytest.raises(ConfigError, match="noise.mean"):
         config_from_mapping(small_mapping(**{"noise.mean": "lots"}))
-    with pytest.raises(ConfigError, match="dataset.scale"):
-        config_from_mapping(small_mapping(**{"dataset.scale": "perhaps"}))
+    with pytest.raises(ConfigError, match="initial.clean"):
+        config_from_mapping(small_mapping(**{"initial.clean": "perhaps"}))
     with pytest.raises(ConfigError, match=r"^run.repetitions must be >= 1, got 0$"):
         config_from_mapping(small_mapping(**{"run.repetitions": "0"}))
     for key in ("stream.seed", "noise.seed", "classifier.seed"):
@@ -132,7 +133,7 @@ def test_defaults_and_typed_fields():
     assert config.repetitions == 1
     assert config.output_dir is None
     for raw in ("false", "no", "0", "off", "OFF"):
-        assert config_from_mapping(small_mapping(**{"dataset.scale": raw})).scale is False
+        assert config_from_mapping(small_mapping(**{"initial.clean": raw})).initial_clean is False
 
 
 def test_mlp_hidden_parses_comma_separated_widths():
@@ -214,9 +215,9 @@ def test_repetition_error_names_batch_and_stage():
     assert err.value.repetition == 0
 
 
-def test_feature_scaling_toggle_changes_inputs(monkeypatch):
-    # dataset.separation shapes the data that is split; dataset.scale maps the
-    # initial batch onto [0, 1] and every other split with the initial ranges
+def test_splits_use_the_generated_features_as_loaded(monkeypatch):
+    # dataset.separation shapes the data that is split, and every split keeps
+    # the features it was given
     from cleanstream.core import generate_synthetic
 
     split_stream, splits = harness.split_stream, []
@@ -229,20 +230,13 @@ def test_feature_scaling_toggle_changes_inputs(monkeypatch):
         return initial, arrivals, test
 
     monkeypatch.setattr(harness, "split_stream", keep_split)
-    for scale in ("false", "true"):
-        mapping = small_mapping(**{"dataset.scale": scale, "dataset.separation": "7.5"})
-        config = config_from_mapping(mapping)
-        run_single(config, 0)
-        dataset, parts, raw = splits.pop()
-        expected = generate_synthetic(config.stream, separation=7.5)
-        np.testing.assert_array_equal(dataset, np.stack([inst.features for inst in expected]))
-        lo, hi = raw[0].min(axis=0), raw[0].max(axis=0)
-        for part, before in zip(parts, raw):
-            after = np.stack([inst.features for inst in part])
-            np.testing.assert_allclose(after, (before - lo) / (hi - lo) if config.scale else before)
-        if config.scale:
-            initial = np.stack([inst.features for inst in parts[0]])
-            assert (initial.min(axis=0) == 0).all() and (initial.max(axis=0) == 1).all()
+    config = config_from_mapping(small_mapping(**{"dataset.separation": "7.5"}))
+    run_single(config, 0)
+    (dataset, parts, raw), = splits
+    expected = generate_synthetic(config.stream, separation=7.5)
+    np.testing.assert_array_equal(dataset, np.stack([inst.features for inst in expected]))
+    for part, before in zip(parts, raw):
+        np.testing.assert_array_equal(np.stack([inst.features for inst in part]), before)
 
 
 def test_csv_dataset_source_round_trip(tmp_path):
