@@ -101,10 +101,6 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
 def _split_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
@@ -114,15 +110,6 @@ _EXPECTED = {
     int: "an integer",
     _finite_float: "a finite number",
     _bool: "true/false",
-    _int_tuple: "comma-separated integers",
-}
-
-_MODEL_OPTIONS = {
-    "knn_k": (int, ClassifierSpec.knn_k),
-    "mlp_hidden": (_int_tuple, ClassifierSpec.mlp_hidden),
-    "mlp_epochs": (int, ClassifierSpec.mlp_epochs),
-    "mlp_learning_rate": (_finite_float, ClassifierSpec.mlp_learning_rate),
-    "mlp_batch_size": (int, ClassifierSpec.mlp_batch_size),
 }
 
 # Every settable key, mapped to (parser, default). Each section that makes a
@@ -145,15 +132,15 @@ CONFIG_KEYS = {
     "noise.seed": (int, NoiseSpec.seed),
     "framework.variant": (str, "rad"),
     "label_model.kind": (str, "mlp"),
-    **{f"label_model.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
+    "label_model.knn_k": (int, ClassifierSpec.knn_k),
     "classifier.kind": (str, "knn"),
-    **{f"classifier.{option}": entry for option, entry in _MODEL_OPTIONS.items()},
+    "classifier.knn_k": (int, ClassifierSpec.knn_k),
     "classifier.seed": (int, ClassifierSpec.seed),
     "oracle.fraction": (_finite_float, OracleBudget.fraction),
     "run.repetitions": (int, 1),
     "run.output_dir": (str, None),
-    "matrix.variants": (_split_list, ()),
-    "matrix.noise_levels": (_split_list, ()),
+    "matrix.variants": (_split_list, None),
+    "matrix.noise_levels": (_split_list, None),
 }
 
 

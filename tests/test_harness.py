@@ -77,10 +77,24 @@ def test_unknown_keys_are_rejected():
         config_from_mapping(small_mapping(**{"stream.nmu_classes": "4"}))
 
 
-@pytest.mark.parametrize("key, value", [("noise.std_mode", "absolute"), ("dataset.scale", "true")])
+MLP_OPTIONS = {
+    "mlp_hidden": "8", "mlp_epochs": "5", "mlp_learning_rate": "0.1", "mlp_batch_size": "4",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise.std_mode", "absolute"),
+        ("dataset.scale", "true"),
+        *((f"{role}.{option}", value) for role in ("label_model", "classifier")
+          for option, value in MLP_OPTIONS.items()),
+    ],
+)
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
-    # the spread is always std * mean and features are used as loaded; naming
-    # a removed key must fail rather than run without what it asked for
+    # the spread is always std * mean, features are used as loaded and the
+    # MLP's hyper-parameters are set from Python; naming a removed key must
+    # fail rather than run without what it asked for
     with pytest.raises(ConfigError, match=f"unknown config keys: {re.escape(key)}"):
         config_from_mapping(small_mapping(**{key: value}))
     config = write_config(tmp_path)
@@ -105,9 +119,7 @@ def test_type_errors_name_the_key():
             config_from_mapping(small_mapping(**{key: "-1"}))
 
 
-@pytest.mark.parametrize(
-    "key", ["noise.std", "dataset.separation", "classifier.mlp_learning_rate", "oracle.fraction"]
-)
+@pytest.mark.parametrize("key", ["noise.std", "dataset.separation", "oracle.fraction"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_rejected(key, raw):
     with pytest.raises(ConfigError, match=rf"{re.escape(key)}: expected a finite number"):
@@ -136,12 +148,6 @@ def test_defaults_and_typed_fields():
         assert config_from_mapping(small_mapping(**{"initial.clean": raw})).initial_clean is False
 
 
-def test_mlp_hidden_parses_comma_separated_widths():
-    config = config_from_mapping(small_mapping(**{"label_model.kind": "mlp",
-                                                  "label_model.mlp_hidden": "12,7"}))
-    assert config.label_spec.mlp_hidden == (12, 7)
-
-
 def test_readme_config_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
@@ -160,8 +166,6 @@ def test_readme_config_table_lists_exactly_the_config_keys():
             return ""
         if isinstance(default, bool):
             return str(default).lower()
-        if isinstance(default, tuple):
-            return ",".join(str(part) for part in default)
         return str(default)
 
     assert documented == {key: written(default) for key, (_, default) in CONFIG_KEYS.items()}
