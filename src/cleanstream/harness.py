@@ -2,8 +2,8 @@
 
 A config file is flat ``key = value`` lines (``#`` starts a comment). The
 same mapping drives single runs and matrix runs; the CLI layers
-``--key=value`` overrides on top before anything is parsed into typed
-config objects.
+``--key=value`` overrides on top. Then each value is parsed once, by its
+key's parser in ``CONFIG_KEYS`` (a matrix entry like the key it names).
 
 Output layout, rooted at ``run.output_dir``::
 
@@ -101,8 +101,10 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _split_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _kind(raw: str) -> str:
+    if raw not in ALL_VARIANTS:
+        raise ValueError
+    return raw
 
 
 # What each parser that can fail expects, for error messages.
@@ -110,11 +112,12 @@ _EXPECTED = {
     int: "an integer",
     _finite_float: "a finite number",
     _bool: "true/false",
+    _kind: f"one of {', '.join(ALL_VARIANTS)}",
 }
 
-# Every settable key, mapped to (parser, default). Each section that makes a
-# dataclass is built from that section alone (see ``_build``); a default the
-# dataclass also declares is read from it.
+# Every settable key, mapped to (parser, default); ``[parser]`` reads a comma
+# list. Each section that makes a dataclass is built from that section alone
+# (see ``_build``); a default the dataclass also declares is read from it.
 CONFIG_KEYS = {
     "dataset.path": (str, None),
     "dataset.separation": (_finite_float, 3.0),
@@ -130,7 +133,7 @@ CONFIG_KEYS = {
     "noise.mean": (_finite_float, 0.3),
     "noise.std": (_finite_float, NoiseSpec.std_dev),
     "noise.seed": (int, NoiseSpec.seed),
-    "framework.variant": (str, "rad"),
+    "framework.variant": (_kind, "rad"),
     "label_model.kind": (str, "mlp"),
     "label_model.knn_k": (int, ClassifierSpec.knn_k),
     "classifier.kind": (str, "knn"),
@@ -139,8 +142,8 @@ CONFIG_KEYS = {
     "oracle.fraction": (_finite_float, OracleBudget.fraction),
     "run.repetitions": (int, 1),
     "run.output_dir": (str, None),
-    "matrix.variants": (_split_list, None),
-    "matrix.noise_levels": (_split_list, None),
+    "matrix.variants": ([_kind], None),
+    "matrix.noise_levels": ([_finite_float], None),
 }
 
 
@@ -170,14 +173,21 @@ def _typed_values(mapping: dict[str, str]) -> dict:
     unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, (parser, default) in CONFIG_KEYS.items():
-        raw = mapping.get(key)
-        try:
-            values[key] = default if raw is None else parser(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {_EXPECTED[parser]}, got {raw!r}") from None
-    return values
+    return {
+        key: default if key not in mapping else _parse(key, parser, mapping[key])
+        for key, (parser, default) in CONFIG_KEYS.items()
+    }
+
+
+def _parse(where: str, parser, raw: str):
+    """``raw`` as ``parser`` reads it; a parser in a list reads each entry of a comma list."""
+    if isinstance(parser, list):
+        entries = [part.strip() for part in raw.split(",") if part.strip()]
+        return [_parse(f"{where}: entry {entry!r}", parser[0], entry) for entry in entries]
+    try:
+        return parser(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {_EXPECTED[parser]}, got {raw!r}") from None
 
 
 # The options whose dataclass field has another name.
@@ -200,26 +210,23 @@ def _build(cls, values: dict, section: str, **fields):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _check_kind(name: str, where: str, suffix: str = "") -> None:
-    """Raise ``ConfigError`` under ``where`` unless ``name`` is one of the seven kinds."""
-    if name not in ALL_VARIANTS:
-        raise ConfigError(f"{where}: expected one of {', '.join(ALL_VARIANTS)}{suffix}")
-
-
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a typed experiment config, rejecting unknown keys early."""
-    values = _typed_values(mapping)
-    variant = values["framework.variant"]
-    _check_kind(variant, "framework.variant", f", got {variant!r}")
+    return _config(_typed_values(mapping))
+
+
+def _config(values: dict) -> ExperimentConfig:
     if values["run.repetitions"] < 1:
         raise ConfigError(f"run.repetitions must be >= 1, got {values['run.repetitions']}")
+    if values["dataset.separation"] <= 0:
+        raise ConfigError(f"dataset.separation must be > 0, got {values['dataset.separation']}")
 
     stream = _build(StreamConfig, values, "stream")
     k = stream.num_classes
     return ExperimentConfig(
         stream=stream,
         noise=_build(NoiseSpec, values, "noise"),
-        variant=variant,
+        variant=values["framework.variant"],
         classifier_spec=_build(ClassifierSpec, values, "classifier", num_classes=k),
         label_spec=_build(ClassifierSpec, values, "label_model", num_classes=k),
         budget=_build(OracleBudget, values, "oracle"),
@@ -235,25 +242,20 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
     """One config per (variant, noise level) pair named by the matrix keys.
 
     Each cell is the mapping's own config with its variant and noise mean
-    replaced. A variant or noise level listed twice would give two cells one
-    result directory, so it is rejected.
+    replaced, each list entry parsed like the key it stands for. A variant
+    or noise level listed twice would give two cells one result directory,
+    so it is rejected.
     """
-    base = config_from_mapping(mapping)
-    variants = _split_list(mapping.get("matrix.variants", "")) or [base.variant]
-    for variant in variants:
-        _check_kind(variant, f"matrix.variants: entry {variant!r}")
+    values = _typed_values(mapping)
+    base = _config(values)
+    variants = values["matrix.variants"] or [base.variant]
     noises = []
-    for level in _split_list(mapping.get("matrix.noise_levels", "")):
-        where = f"matrix.noise_levels: entry {level!r}"
-        try:
-            mean = _finite_float(level)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a finite number") from None
+    for mean in values["matrix.noise_levels"] or [base.noise.mean_level]:
         try:
             noises.append(replace(base.noise, mean_level=mean))
         except ValueError as exc:
+            where = f"matrix.noise_levels: entry {format_noise(mean)!r}"
             raise ConfigError(f"{where}: {exc}") from None
-    noises = noises or [base.noise]
     for key, names in (
         ("matrix.variants", variants),
         ("matrix.noise_levels", [format_noise(noise.mean_level) for noise in noises]),

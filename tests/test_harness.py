@@ -126,6 +126,21 @@ def test_non_finite_numbers_are_rejected(key, raw):
         config_from_mapping(small_mapping(**{key: raw}))
 
 
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_non_positive_separation_is_a_config_error(tmp_path, capsys, raw):
+    # one error that names the key before any run starts, not one per
+    # repetition from the synthetic generator
+    with pytest.raises(ConfigError, match=r"^dataset.separation must be > 0"):
+        config_from_mapping(small_mapping(**{"dataset.separation": raw}))
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(write_config(tmp_path)), "--run.repetitions=3",
+                     f"--dataset.separation={raw}", f"--run.output_dir={out}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("dataset.separation") == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_variant_and_source_validation():
     with pytest.raises(ConfigError, match="framework.variant"):
         config_from_mapping(small_mapping(**{"framework.variant": "psychic"}))
@@ -345,6 +360,33 @@ def test_matrix_expands_variants_times_noise_levels():
     assert {(c.variant, c.noise.mean_level) for c in configs} == {
         (v, nz) for v in ("rad", "voting", "no_sel") for nz in (0.0, 0.4)
     }
+
+
+@pytest.mark.parametrize(
+    "matrix, variants, noise_levels",
+    [
+        ({"matrix.variants": "rad, ,voting", "matrix.noise_levels": " 0.3 ,0.6"},
+         ["rad", "voting"], ["0.3", "0.6"]),
+        ({"matrix.variants": ",active,"}, ["active"], ["0.3"]),
+        ({"matrix.noise_levels": "0,, 1"}, ["voting"], ["0", "1"]),
+        ({}, ["voting"], ["0.3"]),
+    ],
+)
+def test_matrix_cells_equal_single_configs(matrix, variants, noise_levels):
+    """Each cell is the single config of its variant and noise mean."""
+    single = small_mapping()
+    assert expand_matrix({**single, **matrix}) == [
+        config_from_mapping({**single, "framework.variant": variant, "noise.mean": noise})
+        for noise in noise_levels
+        for variant in variants
+    ]
+
+
+@pytest.mark.parametrize("key, raw", [("matrix.variants", "rad,bogus"),
+                                      ("matrix.noise_levels", "0.3,abc")])
+def test_single_configs_check_matrix_entries_too(key, raw):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: entry "):
+        config_from_mapping(small_mapping(**{key: raw}))
 
 
 def test_run_matrix_rejects_an_empty_list():
