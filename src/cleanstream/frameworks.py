@@ -60,9 +60,8 @@ KINDS = {
     "active": Kind(vote=True, oracle=True),
     "slimmed": Kind(oracle=True, window=True),
 }
-VARIANTS = tuple(KINDS)
 BASELINE_KINDS = tuple(baselines.SELECTION_RULES)
-ALL_VARIANTS = VARIANTS + BASELINE_KINDS
+ALL_VARIANTS = tuple(KINDS) + BASELINE_KINDS
 LABEL_MODEL_VARIANTS = tuple(name for name, kind in KINDS.items() if not kind.window)
 
 
@@ -97,10 +96,11 @@ class FrameworkState:
     """Mutable per-run state shared by all variants and baselines.
 
     ``clean_pool`` keeps the accepted instances together with their stacked
-    rows; it only grows. Each model records its own spec and how many pool
-    rows it was trained on. ``oracle`` and its per-batch ``budget`` serve the
-    kinds that ask for true labels; the others ignore them. Each arrival's
-    oracle queries are counted in its report only.
+    rows; it only grows. Each model records its spec and ``trained_on_count``,
+    the pool rows it was trained on; a kind with a window counts its window
+    rows, and nothing compares those with the pool. ``oracle`` and its
+    per-batch ``budget`` serve the kinds that ask for true labels; the others
+    ignore them. Each arrival's oracle queries are counted in its report only.
     """
 
     variant: str

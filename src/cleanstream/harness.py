@@ -42,7 +42,7 @@ from .metrics import (
     aggregate_runs,
     write_reports_csv,
 )
-from .models import ClassifierSpec, evaluate_accuracy, stack_test_set
+from .models import MODEL_KINDS, ClassifierSpec, evaluate_accuracy, stack_test_set
 from .noise import NoiseSpec, draw_batch_noise_level, inject_symmetric_noise
 
 
@@ -107,12 +107,19 @@ def _kind(raw: str) -> str:
     return raw
 
 
+def _model_kind(raw: str) -> str:
+    if raw not in MODEL_KINDS:
+        raise ValueError
+    return raw
+
+
 # What each parser that can fail expects, for error messages.
 _EXPECTED = {
     int: "an integer",
     _finite_float: "a finite number",
     _bool: "true/false",
     _kind: f"one of {', '.join(ALL_VARIANTS)}",
+    _model_kind: f"one of {', '.join(MODEL_KINDS)}",
 }
 
 # Every settable key, mapped to (parser, default); ``[parser]`` reads a comma
@@ -134,9 +141,9 @@ CONFIG_KEYS = {
     "noise.std": (_finite_float, NoiseSpec.std_dev),
     "noise.seed": (int, NoiseSpec.seed),
     "framework.variant": (_kind, "rad"),
-    "label_model.kind": (str, "mlp"),
+    "label_model.kind": (_model_kind, "mlp"),
     "label_model.knn_k": (int, ClassifierSpec.knn_k),
-    "classifier.kind": (str, "knn"),
+    "classifier.kind": (_model_kind, "knn"),
     "classifier.knn_k": (int, ClassifierSpec.knn_k),
     "classifier.seed": (int, ClassifierSpec.seed),
     "oracle.fraction": (_finite_float, OracleBudget.fraction),

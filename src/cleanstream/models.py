@@ -261,7 +261,8 @@ class MlpModel:
     """Fully connected net: ReLU hidden layers, softmax output, mean CE loss.
 
     Trained by minibatch SGD. ``fit`` continues from the current weights, so
-    calling it again warm-starts rather than reinitialising. The output layer
+    calling it again warm-starts rather than reinitialising, and
+    ``trained_on_count`` adds up the rows of every fit. The output layer
     is always ``num_classes`` wide, even when the training data is missing
     some classes.
 

@@ -141,6 +141,18 @@ def test_non_positive_separation_is_a_config_error(tmp_path, capsys, raw):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("key", ["label_model.kind", "classifier.kind"])
+def test_bad_model_kind_is_reported_under_its_key(tmp_path, capsys, key):
+    message = f"{key}: expected one of knn, centroid, mlp, got 'bogus'"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        config_from_mapping(small_mapping(**{key: "bogus"}))
+    code = cli_main(["run", "--config", str(write_config(tmp_path)), f"--{key}=bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count(key) == 1
+    assert captured.out == ""
+
+
 def test_variant_and_source_validation():
     with pytest.raises(ConfigError, match="framework.variant"):
         config_from_mapping(small_mapping(**{"framework.variant": "psychic"}))
@@ -429,7 +441,7 @@ BAD_MATRIX_ENTRIES = [
     BAD_MATRIX_ENTRIES,
     ids=["-".join([*overrides.values(), message]) for overrides, message in BAD_MATRIX_ENTRIES],
 )
-def test_matrix_names_the_bad_noise_level(tmp_path, capsys, overrides, message):
+def test_matrix_names_the_bad_entry(tmp_path, capsys, overrides, message):
     """A bad matrix entry, or base key, is reported under its own key."""
     with pytest.raises(ConfigError, match=re.escape(message)):
         expand_matrix(small_mapping(**overrides))
