@@ -30,13 +30,18 @@ class BatchReport:
 CSV_COLUMNS = tuple(f.name for f in fields(BatchReport))
 
 
+def _sum(values) -> float:
+    """Add left to right: since Python 3.12 the built-in ``sum`` of floats is compensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _batch_share_sum(counts, batch_size: int) -> float:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    total = 0.0
-    for count in counts:
-        total += count / batch_size
-    return total
+    return _sum(count / batch_size for count in counts)
 
 
 def active_fraction(reports: list[BatchReport], batch_size: int) -> float:
@@ -103,12 +108,12 @@ class RunSummary:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return _sum(values) / len(values)
 
 
 def _variance(values: list[float]) -> float:
     m = _mean(values)
-    return sum((v - m) ** 2 for v in values) / len(values)
+    return _sum((v - m) ** 2 for v in values) / len(values)
 
 
 def aggregate_runs(results: list[RunResult]) -> RunSummary:

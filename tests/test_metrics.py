@@ -160,6 +160,12 @@ def test_aggregate_means_and_variances_match_numpy():
     assert summary.repetitions == 3
 
 
+def test_aggregate_adds_left_to_right_on_every_python():
+    # a compensated sum, as the built-in sum() of 3.12 on, gives 0.9355000000000001
+    summary = aggregate_runs([run_result([acc]) for acc in (0.935, 0.936, 0.9355)])
+    assert summary.final_accuracy == 0.9354999999999999
+
+
 def test_aggregate_rejects_no_results():
     with pytest.raises(ValueError, match="at least one"):
         aggregate_runs([])
