@@ -6,7 +6,8 @@ stepped through :func:`cleanstream.frameworks.step`. ``no_sel`` trains on
 everything as delivered (lower anchor), ``opt_sel`` trains only on the truly
 clean part of each batch (what a perfect selector would keep), and
 ``full_clean`` trains on everything with labels reset to ground truth (upper
-anchor). The last two read ``true_label`` and exist only for simulation.
+anchor), taking a relabelled copy of each mislabelled instance. The last two
+read ``true_label`` and exist only for simulation.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ def opt_sel(batch: Batch) -> list[LabeledInstance]:
 
 
 def full_clean(batch: Batch) -> list[LabeledInstance]:
-    """Noise-free upper bound: take everything with labels reset to truth."""
-    for inst in batch.instances:
-        inst.given_label = inst.true_label
-    return batch.instances
+    """Noise-free upper bound: take everything, mislabelled instances as relabelled copies."""
+    return [inst if inst.is_clean else inst.relabeled(inst.true_label) for inst in batch.instances]
 
 
 SELECTION_RULES = {"no_sel": no_sel, "opt_sel": opt_sel, "full_clean": full_clean}

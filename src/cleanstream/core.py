@@ -15,19 +15,18 @@ class StreamSizeError(ValueError):
     """The dataset is too small for the configured stream layout."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledInstance:
     """One stream record: a feature vector plus the label it arrived with.
 
     ``true_label`` is ground truth and is consulted only by the noise
     injector, the oracle, the omniscient baselines, and metrics. ``uid`` is
-    the instance's row in its dataset (-1 if made by hand) and survives label
-    mutations; tests name instances by it. The test-purity audit compares
-    object identity, not ``uid``.
+    the instance's row in its dataset (-1 if made by hand); a relabelled copy
+    keeps it, so tests and the test-purity audit name instances by it.
 
-    ``features`` is set once, when the instance is made, and is neither
-    written nor rebound after: it may be a read-only view of a matrix whose
-    other rows belong to other instances.
+    A record is never written after it is made: a relabel is a new record
+    from :meth:`relabeled`. ``features`` may be a read-only view of a matrix
+    whose other rows belong to other instances, and copies share it.
     """
 
     features: np.ndarray
@@ -37,8 +36,12 @@ class LabeledInstance:
 
     @property
     def is_clean(self) -> bool:
-        """True iff the given label matches ground truth (derived, never stale)."""
+        """True iff the given label matches ground truth."""
         return self.given_label == self.true_label
+
+    def relabeled(self, label: int) -> LabeledInstance:
+        """A copy of this record with ``label`` as its given label."""
+        return LabeledInstance(self.features, label, self.true_label, self.uid)
 
 
 @dataclass
@@ -194,7 +197,7 @@ def generate_synthetic(config: StreamConfig, separation: float = 3.0) -> Dataset
     features.flags.writeable = False
 
     return [
-        LabeledInstance(features=row, given_label=label, true_label=label, uid=i)
+        LabeledInstance(row, label, label, i)
         for i, (row, label) in enumerate(zip(features, labels.tolist()))
     ]
 

@@ -190,7 +190,7 @@ def voting_filter(
     ``label_predictions`` holds the label model's class for each instance.
     An instance is accepted if the classifier confirms its given label, or if
     the classifier and the label model agree on some other class, in which
-    case the given label is replaced by that class. Everything else is
+    case a copy relabelled to that class is accepted. Everything else is
     rejected. Returns (accepted, rejected) in input order.
     """
     accepted: list[LabeledInstance] = []
@@ -200,8 +200,7 @@ def voting_filter(
         if cls_pred == inst.given_label:
             accepted.append(inst)
         elif cls_pred == label_pred:
-            inst.given_label = cls_pred
-            accepted.append(inst)
+            accepted.append(inst.relabeled(cls_pred))
         else:
             rejected.append(inst)
     return accepted, rejected
@@ -256,15 +255,13 @@ def reprocess_history(state: FrameworkState) -> None:
 def _ask_oracle(
     state: FrameworkState, candidates: list[LabeledInstance], batch_size: int
 ) -> list[LabeledInstance]:
-    """Relabel a uniform subset of candidates, in batch order, within the budget's cap."""
+    """Relabelled copies of a uniform subset of candidates, in batch order, within the cap."""
     cap = state.budget.max_queries(batch_size)
     asked = list(candidates)
     if len(asked) > cap:
         picked = state.rng.choice(len(asked), size=cap, replace=False)
         asked = [asked[i] for i in sorted(int(i) for i in picked)]
-    for inst in asked:
-        inst.given_label = state.oracle.answer(inst)
-    return asked
+    return [inst.relabeled(state.oracle.answer(inst)) for inst in asked]
 
 
 def step(state: FrameworkState, batch: Batch) -> tuple[FrameworkState, BatchReport]:

@@ -292,9 +292,9 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def _audit_test_purity(state: FrameworkState, test: list[LabeledInstance]) -> None:
-    test_ids = {id(inst) for inst in test}
+    test_uids = {inst.uid for inst in test}
     for inst in itertools.chain(state.clean_pool, *state.inactive):
-        if id(inst) in test_ids:
+        if inst.uid in test_uids:
             raise RuntimeError("a test instance leaked into a training pool")
 
 

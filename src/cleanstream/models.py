@@ -68,9 +68,9 @@ class PoolBuffers:
 
     Capacity doubles when full, so each instance is stacked once however often
     the pool is trained on. ``X`` and ``y`` view the first ``len(self)`` rows,
-    row i being ``instances[i]``. Rows are never changed once appended: a label
-    must be final before its instance joins, and a model trained on a prefix
-    keeps seeing that prefix.
+    row i being ``instances[i]``. Instances are immutable, so rows are never
+    changed once appended, and a model trained on a prefix keeps seeing that
+    prefix.
     """
 
     def __init__(self, instances: list[LabeledInstance] = ()) -> None:

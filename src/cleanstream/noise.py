@@ -2,8 +2,8 @@
 
 Noise is label-only and independent of features and classes: a batch-level
 fraction is drawn from N(mean, std * mean) clamped to [0, 1], and exactly
-that fraction of the batch (rounded) gets its given label flipped to a
-uniformly random *other* class. ``true_label`` is never touched.
+that fraction of the batch (rounded) is replaced by copies whose given
+label is a uniformly random *other* class. ``true_label`` is never touched.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def flip_count(level: float, batch_size: int) -> int:
 
 
 def inject_symmetric_noise(batch: Batch, level: float, num_classes: int, rng) -> Batch:
-    """Corrupt exactly ``flip_count(level, |batch|)`` distinct instances in place.
+    """Corrupt exactly ``flip_count(level, |batch|)`` distinct instances of the batch.
 
-    Each chosen instance's given label becomes a class drawn uniformly from
-    the other ``num_classes - 1`` classes, so a flip never reproduces the true
-    label. Records the drawn level on the batch and returns it.
+    Each chosen instance is replaced in ``batch.instances`` by a copy whose
+    given label is drawn uniformly from the other ``num_classes - 1`` classes,
+    never the true label. Records the drawn level on the batch and returns it.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -66,9 +66,9 @@ def inject_symmetric_noise(batch: Batch, level: float, num_classes: int, rng) ->
     flips = flip_count(level, n)
     if flips:
         chosen = rng.choice(n, size=flips, replace=False)
-        for i in chosen:
-            inst = batch.instances[int(i)]
+        for i in chosen.tolist():
+            inst = batch.instances[i]
             r = int(rng.integers(num_classes - 1))
-            inst.given_label = r + 1 if r >= inst.true_label else r
+            batch.instances[i] = inst.relabeled(r + 1 if r >= inst.true_label else r)
     batch.drawn_noise_level = level
     return batch

@@ -13,6 +13,8 @@ splitting, noise injection, the MLP and the report type.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 
 from cleanstream.core import generate_synthetic, split_stream
@@ -80,21 +82,18 @@ def _vote(classifier, instances, label_predictions):
         if cls_pred == inst.given_label:
             kept.append(inst)
         elif cls_pred == label_pred:
-            inst.given_label = cls_pred
-            kept.append(inst)
+            kept.append(inst.relabeled(cls_pred))
         else:
             rejected.append(inst)
     return kept, rejected
 
 
 def _ask_oracle(candidates, cap: int, rng):
-    """Give a uniform sample of at most ``cap`` candidates, in order, their true labels."""
+    """Copies of a uniform sample of at most ``cap`` candidates, in order, with true labels."""
     if len(candidates) > cap:
         picked = sorted(int(i) for i in rng.choice(len(candidates), size=cap, replace=False))
         candidates = [candidates[i] for i in picked]
-    for inst in candidates:
-        inst.given_label = inst.true_label
-    return candidates
+    return [inst.relabeled(inst.true_label) for inst in candidates]
 
 
 def reference_run(config: ExperimentConfig, repetition: int) -> tuple[float, list[BatchReport]]:
@@ -136,9 +135,7 @@ def reference_run(config: ExperimentConfig, repetition: int) -> tuple[float, lis
         elif kind == "opt_sel":
             selected = [inst for inst in arrived if inst.is_clean]
         elif kind == "full_clean":
-            for inst in arrived:
-                inst.given_label = inst.true_label
-            selected = list(arrived)
+            selected = [inst.relabeled(inst.true_label) for inst in arrived]
         else:
             # rad, voting and active screen with the label model, slimmed with
             # the classifier; the screen keeps what confirms the given label
@@ -151,7 +148,8 @@ def reference_run(config: ExperimentConfig, repetition: int) -> tuple[float, lis
                 kept, rejected = _vote(classifier, rejected, predictions)
                 selected += kept
             if kind in ("active", "slimmed"):
-                cap = config.budget.max_queries(len(arrived))
+                # the floor of the fraction as written, times the batch size
+                cap = int(Decimal(repr(config.budget.fraction)) * len(arrived))
                 answered = _ask_oracle(rejected, cap, rng)
                 selected += answered
             if kind == "slimmed":

@@ -89,12 +89,19 @@ def test_full_clean_resets_labels_to_truth():
     initial, arrivals, _ = noisy_stream()
     state = initialize("full_clean", initial)
     for batch in arrivals:
-        had_noise = any(not i.is_clean for i in batch.instances)
+        delivered = list(batch.instances)
+        pool_before = len(state.clean_pool)
         state, report = frameworks.step(state, batch)
-        assert all(i.is_clean for i in batch.instances)
+        added = state.clean_pool.instances[pool_before:]
+        assert [i.uid for i in added] == [i.uid for i in delivered]
+        # a clean instance joins as it is, a mislabelled one as a relabelled copy
+        for got, sent in zip(added, delivered):
+            assert got.is_clean
+            assert (got is sent) == sent.is_clean
+        assert batch.instances == delivered  # the arrival itself is left as it came
         assert report.selected_count == len(batch.instances)
         assert report.selected_true_clean_count == len(batch.instances)
-        assert had_noise  # sanity: the stream actually was noisy
+        assert not all(i.is_clean for i in delivered)  # sanity: the stream was noisy
     assert all(i.is_clean for i in state.clean_pool)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,12 +40,23 @@ def make_config(**overrides) -> StreamConfig:
 # domain types
 
 def test_instance_clean_flag_tracks_label_mutation():
-    inst = LabeledInstance(features=np.zeros(2), given_label=1, true_label=1)
+    features = np.zeros(2)
+    inst = LabeledInstance(features=features, given_label=1, true_label=1, uid=7)
     assert inst.is_clean
-    inst.given_label = 0
-    assert not inst.is_clean
-    inst.given_label = 1
-    assert inst.is_clean
+    # a relabel is a new record that keeps the features row, truth and uid
+    noisy = inst.relabeled(0)
+    assert noisy is not inst and inst.given_label == 1
+    assert noisy.features is features
+    assert (noisy.given_label, noisy.true_label, noisy.uid) == (0, 1, 7)
+    assert not noisy.is_clean and inst.is_clean
+    assert noisy.relabeled(1).is_clean and not noisy.is_clean
+    # and no record is written after it is made
+    for field in ("features", "given_label", "true_label", "uid"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(inst, field, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(inst, field)
+    assert (inst.given_label, inst.uid) == (1, 7)
 
 
 def test_instances_compare_by_identity():
@@ -308,6 +321,19 @@ def test_stratified_split_keeps_class_shares():
         counts = np.bincount([inst.given_label for inst in group], minlength=4)
         expected = share * len(group)
         assert np.abs(counts - expected).max() <= 2
+
+
+def test_stratified_split_order_is_pinned():
+    # six of class 0, three of class 1 and one of class 2; the i-th of a
+    # class's n shuffled instances sorts at (i + 1/2) / n, ties in dataset order
+    labels = [0, 1, 0, 2, 0, 1, 0, 0, 1, 0]
+    dataset = [LabeledInstance(np.zeros(1), c, c, uid=i) for i, c in enumerate(labels)]
+    config = StreamConfig(num_classes=3, num_features=1, initial_batch_size=3, batch_size=2,
+                          num_batches=2, test_size=3, stratify=True)
+    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(4))
+    assert [i.uid for i in initial.instances] == [2, 1, 4]
+    assert [[i.uid for i in b.instances] for b in arrivals] == [[0, 3], [5, 9]]
+    assert [i.uid for i in test] == [7, 8, 6]
 
 
 @settings(max_examples=30, deadline=None)

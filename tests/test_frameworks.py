@@ -99,10 +99,10 @@ def test_voting_filter_rule_table(monkeypatch):
     clf = StubModel({11: 1, 12: 2, 13: 3})
     accepted, rejected = voting_filter(dirty, [2, 2, 2], clf)
     assert [i.uid for i in accepted] == [11, 12]
-    assert dirty[0].given_label == 1  # confirmed, unchanged
-    assert dirty[1].given_label == 2  # replaced by the agreed class
-    assert [i.uid for i in rejected] == [13]
-    assert dirty[2].given_label == 1  # rejects keep their label
+    assert accepted[0] is dirty[0]  # confirmed, unchanged
+    assert accepted[1].given_label == 2  # a copy relabelled to the agreed class
+    assert dirty[1].given_label == 1  # the record passed in is left alone
+    assert rejected == [dirty[2]]  # rejects keep their label
 
 
 def test_voting_filter_empty_input():
@@ -189,7 +189,8 @@ def test_voting_walkthrough_over_three_arrivals(monkeypatch):
     )
     state, report1 = frameworks.step(state, batch1)
     assert sorted(i.uid for i in state.clean_pool) == [0, 1, 10, 11, 12]
-    assert batch1.instances[2].given_label == 0
+    assert {i.uid: i.given_label for i in state.clean_pool}[12] == 0
+    assert batch1.instances[2].given_label == 1  # the pool holds a relabelled copy
     assert report1.selected_count == 3
     assert report1.selected_true_clean_count == 3  # 10, 11, and the corrected 12
     assert report1.inactive_total == 1
@@ -290,6 +291,9 @@ def test_budget_arithmetic():
     assert limited.max_queries(300) == 60
     assert OracleBudget(fraction=0.35).max_queries(20) == 7
     assert OracleBudget(fraction=0.0).max_queries(50) == 0
+    # a product that is not a whole number is rounded down
+    assert OracleBudget(fraction=0.1).max_queries(7) == 0
+    assert OracleBudget(fraction=0.29).max_queries(7) == 2
     # the cap is taken on the decimal as written, not its binary approximation
     assert OracleBudget(fraction=0.29).max_queries(100) == 29
     assert OracleBudget(fraction=0.57).max_queries(100) == 57
@@ -327,13 +331,16 @@ def test_ask_oracle_relabels_a_uniform_subset_in_batch_order():
     # one draw from the state's rng picks the subset
     assert uids == sorted(np.random.default_rng(5).choice(10, size=4, replace=False).tolist())
     assert state.oracle.asked == uids
+    # the answers are relabelled copies; the candidates passed in are left alone
     assert all(inst.given_label == inst.true_label for inst in asked)
+    assert all(inst.given_label == 0 for inst in candidates)
     again = oracle_state(0.4, seed=5)
     assert [i.uid for i in frameworks._ask_oracle(again, candidates, 10)] == uids
     # candidates that fit under the cap are all asked, in order
     few = [make_inst(u, 0, true=1) for u in (20, 21, 22)]
-    assert [i.uid for i in frameworks._ask_oracle(state, few, 10)] == [20, 21, 22]
-    assert [inst.given_label for inst in few] == [1, 1, 1]
+    answered = frameworks._ask_oracle(state, few, 10)
+    assert [(i.uid, i.given_label) for i in answered] == [(20, 1), (21, 1), (22, 1)]
+    assert [inst.given_label for inst in few] == [0, 0, 0]
     assert state.oracle.asked == uids + [20, 21, 22]
 
 
@@ -344,14 +351,15 @@ def test_active_queries_only_double_disagreements(monkeypatch):
     oracle = CountingOracle()
     batch = Batch(
         index=1,
-        instances=[make_inst(10, 0), make_inst(11, 1, true=2), make_inst(12, 1, true=1)],
+        instances=[make_inst(10, 0), make_inst(11, 1, true=2), make_inst(12, 1, true=2)],
     )
     # 10 label-confirmed; 11 classifier-confirms given; 12 disagrees twice -> oracle
     state.oracle = oracle
     state, report = frameworks.step(state, batch)
     assert oracle.asked == [12]
-    assert batch.instances[2].given_label == 1  # overwritten with the true label
-    assert batch.instances[2].is_clean
+    answered = state.clean_pool.instances[-1]
+    assert (answered.uid, answered.given_label) == (12, 2)  # the oracle's relabelled copy
+    assert batch.instances[2].given_label == 1
     assert report.oracle_queries == 1
     assert report.selected_count == 3
     assert report.inactive_total == 0

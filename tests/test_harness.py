@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -584,13 +587,19 @@ def test_purity_audit_catches_a_leak():
     from cleanstream.core import LabeledInstance
     from cleanstream.frameworks import FrameworkState
 
-    leaked = LabeledInstance(features=np.zeros(2), given_label=0, true_label=0)
-    for pool, inactive in (([leaked], []), ([], [[leaked]])):
-        state = FrameworkState(
-            "no_sel", classifier=None, clean_pool=pool, rng=None, inactive=inactive
-        )
-        with pytest.raises(RuntimeError, match="leak"):
-            harness._audit_test_purity(state, [leaked])
+    test = LabeledInstance(features=np.zeros(2), given_label=0, true_label=0, uid=5)
+    other = LabeledInstance(features=np.zeros(2), given_label=0, true_label=0, uid=6)
+    # the instance itself, or a relabelled copy of it, in the pool or the history
+    for leaked in (test, test.relabeled(1)):
+        for pool, inactive in (([other, leaked], []), ([other], [[other], [leaked]])):
+            state = FrameworkState(
+                "no_sel", classifier=None, clean_pool=pool, rng=None, inactive=inactive
+            )
+            with pytest.raises(RuntimeError, match="leak"):
+                harness._audit_test_purity(state, [test])
+    clean = FrameworkState("no_sel", classifier=None, clean_pool=[other], rng=None,
+                           inactive=[[other.relabeled(1)]])
+    harness._audit_test_purity(clean, [test])
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +714,37 @@ def test_cli_gen_synthetic_produces_loadable_csv(tmp_path, capsys):
     assert code == 0
     dataset = load_csv(out, 3)
     assert len(dataset) == 50 + 3 * 20 + 40
+
+
+def test_cli_module_runs_every_kind_on_a_csv_in_a_subprocess(tmp_path):
+    # the module run as a program, so the exit status is what sys.exit makes
+    # of main's return value
+    config, data, out = write_config(tmp_path), tmp_path / "data.csv", tmp_path / "out"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def cleanstream(command, *args):
+        argv = [sys.executable, "-m", "cleanstream.cli", command, "--config", str(config), *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+
+    assert cleanstream("gen-synthetic", "--out", str(data)).returncode == 0
+    assert len(load_csv(data, 3)) == 50 + 3 * 20 + 40
+    run = cleanstream("run", f"--dataset.path={data}", f"--run.output_dir={out / 'run'}")
+    assert run.returncode == 0, run.stderr
+    assert "aggregate variant=voting" in run.stdout
+    assert (result_dir(out / "run", "voting", 0.3, 0) / "batches.csv").stat().st_size > 0
+    matrix = cleanstream("matrix", f"--dataset.path={data}",
+                         f"--matrix.variants={','.join(ALL_VARIANTS)}",
+                         f"--run.output_dir={out / 'matrix'}")
+    assert matrix.returncode == 0, matrix.stderr
+    assert (out / "matrix" / "summary.txt").stat().st_size > 0
+    comparison = (out / "matrix" / "comparison.txt").read_text(encoding="utf-8")
+    for kind in ALL_VARIANTS:
+        assert f"\n{kind} " in comparison
+        assert (result_dir(out / "matrix", kind, 0.3, 0) / "batches.csv").stat().st_size > 0
+    missing = cleanstream("run", f"--dataset.path={tmp_path / 'missing.csv'}")
+    assert missing.returncode == 2 and "missing.csv" in missing.stderr
 
 
 @pytest.mark.parametrize("width", [None, 3])

@@ -405,7 +405,7 @@ def test_evaluate_accuracy_scores_against_true_labels():
     model = train(knn_spec(k=1, num_classes=2), wrap(X, [0, 1]), np.random.default_rng(0))
     test = wrap(np.array([[1.0], [9.0]]), [0, 0])  # second one truly 0, predicted 1
     assert evaluate_accuracy(model, test) == 0.5
-    test[1].given_label = 1  # given labels must not affect scoring
+    test[1] = test[1].relabeled(1)  # given labels must not affect scoring
     assert evaluate_accuracy(model, test) == 0.5
     with pytest.raises(ValueError):
         evaluate_accuracy(model, [])

@@ -13,8 +13,8 @@ kind is its own test, so every kind gets the whole example budget.
 
 The same ``run_single`` run is checked after every arrival against the run
 invariants (:func:`checked_arrivals`). Fixed overlapping streams make sure
-that ``active`` and ``slimmed`` meet oracle answers that change a label,
-which the pool-buffer check exists to catch.
+that ``active`` and ``slimmed`` meet oracle answers that change a label, and
+that a cap of 0.29 of a batch of 100 binds at 29, the decimal as written.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def checked_arrivals(config):
     # relabels: oracle answers that differ from the given label
     checks = SimpleNamespace(queries=0, relabels=0, failures=[])
     step, answer = frameworks.step, GroundTruthOracle.answer
-    delivered: set[int] = set()
+    delivered: set[int] = set()  # uids, since a relabel makes a new record
 
     def counting_answer(oracle, instance):
         checks.queries += 1
@@ -57,13 +57,13 @@ def checked_arrivals(config):
 
     def checked_step(state, batch):
         if not delivered:  # the pool as initialize seeded it from the initial batch
-            delivered.update(id(inst) for inst in state.clean_pool)
-        delivered.update(id(inst) for inst in batch.instances)
+            delivered.update(inst.uid for inst in state.clean_pool)
+        delivered.update(inst.uid for inst in batch.instances)
         queries, trained_before = checks.queries, state.classifier.trained_on_count
         state, report = step(state, batch)
         try:
             check_arrival(config, state, batch, report, checks.queries - queries, trained_before)
-            held = {id(inst) for inst in itertools.chain(state.clean_pool, *state.inactive)}
+            held = {inst.uid for inst in itertools.chain(state.clean_pool, *state.inactive)}
             assert held <= delivered
         except AssertionError as exc:
             checks.failures.append(f"arrival {batch.index}: {exc}")
@@ -79,8 +79,8 @@ def check_arrival(config, state, batch, report, queries, trained_before) -> None
     assert 0 <= report.selected_count <= len(batch.instances)
     assert report.oracle_queries == queries
     assert report.oracle_queries <= config.budget.max_queries(len(batch.instances))
-    # labels are final before an instance joins the pool, so the pool's
-    # buffers, stacked once at append time, still match its instances
+    # records are immutable, so the pool's buffers, stacked once at append
+    # time, still match its instances
     np.testing.assert_array_equal(state.clean_pool.X, features_matrix(state.clean_pool))
     np.testing.assert_array_equal(state.clean_pool.y, given_labels(state.clean_pool))
     # the models are the only record of what they were trained on
@@ -165,8 +165,17 @@ def test_run_single_matches_the_reference_run(variant, case):
     assert result.reports == reports
 
 
-@pytest.mark.parametrize("variant", ["active", "slimmed"])
-def test_oracle_relabels_keep_the_pool_buffers_in_step(variant):
+@pytest.mark.parametrize(
+    "variant, overrides, binding_cap",
+    [
+        ("active", {}, None),
+        ("slimmed", {}, None),
+        # 0.29 * 100 is 28.999... in binary floating point; the cap is 29
+        ("slimmed", {"stream.batch_size": 100, "oracle.fraction": 0.29}, 29),
+    ],
+    ids=["active", "slimmed", "slimmed-batch100-fraction0.29"],
+)
+def test_oracle_relabels_keep_the_pool_buffers_in_step(variant, overrides, binding_cap):
     # two different models, so the active variant's label model and
     # classifier can both disagree with a label and send it to the oracle
     mapping = {
@@ -176,9 +185,12 @@ def test_oracle_relabels_keep_the_pool_buffers_in_step(variant):
         "stream.seed": 11, "dataset.separation": 0.5,
         "noise.mean": 0.4, "noise.std": 0, "noise.seed": 11, "initial.clean": True,
         "label_model.kind": "centroid", "classifier.kind": "knn", "classifier.knn_k": 3,
+        **overrides,
     }
     config = config_from_mapping({key: str(value) for key, value in mapping.items()})
     with checked_arrivals(config) as checks:
-        run_single(config, 0)
+        result = run_single(config, 0)
     assert not checks.failures, checks.failures[0]
     assert checks.relabels >= 1
+    if binding_cap is not None:
+        assert max(report.oracle_queries for report in result.reports) == binding_cap
