@@ -8,6 +8,7 @@ state, and every source of randomness is an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,8 +254,30 @@ def _check_labels(y: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels outside 0..{num_classes - 1}: range {y.min()}..{y.max()}")
 
 
-# an MLP pass's outputs, deltas and ReLU masks by layer, and its softmax column
-_Scratch = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]
+# the ReLU's floor, as a 0-d array: a Python float operand costs a ufunc more
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+class _Buffers(NamedTuple):
+    """The arrays one pass over a batch of ``rows`` rows writes into.
+
+    ``hidden`` pairs each hidden layer's weights and bias with the buffer its
+    output goes to; ``probs`` takes the softmax, and ``column`` its row
+    maxima and sums. ``rows`` is the row count as a 0-d float64 array.
+    ``backward`` holds, from the last layer down to the second, the layer's
+    input (a hidden output buffer) and its transpose, the layer's gradient
+    views, the transpose of its weights, and the buffers of the delta and
+    ReLU mask it passes down; ``first`` holds the first layer's gradient
+    views. A forward-only set has neither.
+    """
+
+    rows: np.ndarray
+    hidden: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    probs: np.ndarray
+    column: np.ndarray
+    backward: list[tuple[np.ndarray, ...]]
+    first: tuple[np.ndarray, ...]
 
 
 class MlpModel:
@@ -268,10 +291,11 @@ class MlpModel:
 
     Every weight and bias is a view of the one flat vector ``params``, and a
     step's gradients fill views of one vector laid out the same way, so the
-    SGD update is two operations over the whole net. Elementwise, each step
-    does the same float64 operations in the same order as a loop of
-    per-layer ``W -= lr * grad`` updates; only where results are written
-    differs, so the weights are the same to the bit.
+    SGD update is two operations over the whole net. ``params`` is only ever
+    updated in place, so these views, and the weights' transposes, are made
+    once. Elementwise, each step does the same float64 operations in the
+    same order as a loop of per-layer ``W -= lr * grad`` updates; only where
+    results are written differs, so the weights are the same to the bit.
     """
 
     def __init__(self, spec: ClassifierSpec, num_features: int, rng):
@@ -285,6 +309,7 @@ class MlpModel:
         for W, (fan_in, fan_out) in zip(self.weights, self._shapes):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             W[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        self._weights_T = [W.T for W in self.weights]
 
     def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like ``params``."""
@@ -296,74 +321,69 @@ class MlpModel:
             start = stop + fan_out
         return weights, biases
 
-    def _scratch(self, rows: int) -> _Scratch:
-        """Buffers for one forward and backward pass over a batch of ``rows`` rows.
+    def _buffers(self, rows: int, grads: np.ndarray | None = None) -> _Buffers:
+        """Buffers for a pass over ``rows`` rows; a backward pass too with ``grads``.
 
-        Each layer's output; each hidden layer's delta and ReLU mask; and one
-        column for the softmax's row maxima and sums.
+        The backward pass writes its gradients into views of ``grads``, a
+        vector laid out like ``params``.
         """
-        hidden = [fan_out for _, fan_out in self._shapes[:-1]]
-        return (
-            [np.empty((rows, width)) for width in [*hidden, self.spec.num_classes]],
-            [np.empty((rows, width)) for width in hidden],
-            [np.empty((rows, width)) for width in hidden],
-            np.empty((rows, 1)),
+        outputs = [np.empty((rows, fan_out)) for _, fan_out in self._shapes]
+        hidden = list(zip(self.weights, self.biases, outputs[:-1]))
+        backward, first = [], ()
+        if grads is not None:
+            grads_w, grads_b = self._views(grads)
+            for layer in range(len(hidden), 0, -1):
+                a = outputs[layer - 1]
+                backward.append((
+                    a, a.T, grads_w[layer], grads_b[layer], self._weights_T[layer],
+                    np.empty_like(a), np.empty_like(a),
+                ))
+            first = (grads_w[0], grads_b[0])
+        return _Buffers(
+            np.array(float(rows)), hidden, outputs[-1], np.empty((rows, 1)), backward, first
         )
 
-    def _forward(
-        self, X: np.ndarray, outputs: list[np.ndarray | None], column: np.ndarray | None
-    ) -> list[np.ndarray]:
-        """Every layer's input, ``X`` first, then the softmax probabilities.
-
-        Layer i writes its output into ``outputs[i]``, and the softmax writes
-        its row maxima and sums into ``column``; ``None`` allocates instead.
-        """
-        inputs = [X]
-        for W, b, h in zip(self.weights[:-1], self.biases[:-1], outputs[:-1]):
-            h = np.dot(inputs[-1], W, h)
-            np.add(h, b, out=h)
-            inputs.append(np.maximum(h, 0.0, out=h))
-        probs = np.dot(inputs[-1], self.weights[-1], outputs[-1])
+    def _forward(self, X: np.ndarray, buffers: _Buffers) -> np.ndarray:
+        """The softmax probabilities of the rows of ``X``, in ``buffers.probs``."""
+        a = X
+        for W, b, h in buffers.hidden:
+            a = a.dot(W, h)
+            np.add(a, b, out=a)
+            np.maximum(a, _ZERO, out=a)
+        probs, column = a.dot(self.weights[-1], buffers.probs), buffers.column
         np.add(probs, self.biases[-1], out=probs)
         np.subtract(probs, np.maximum.reduce(probs, axis=1, out=column, keepdims=True), out=probs)
         np.exp(probs, out=probs)
         np.divide(probs, np.add.reduce(probs, axis=1, out=column, keepdims=True), out=probs)
-        inputs.append(probs)
-        return inputs
+        return probs
 
     def _gradients(
-        self,
-        X: np.ndarray,
-        targets: np.ndarray,
-        grads_w: list[np.ndarray],
-        grads_b: list[np.ndarray],
-        scratch: _Scratch,
+        self, X: np.ndarray, X_T: np.ndarray, targets: np.ndarray, buffers: _Buffers
     ) -> None:
         """Write the mean cross-entropy gradients for one batch into the views.
 
-        ``targets`` is the batch's one-hot labels. Subtracting its zeros
-        leaves every probability unchanged, as indexing out the true class
-        would. ``scratch`` comes from :meth:`_scratch` for the batch's rows.
+        ``X_T`` is ``X.T`` and ``targets`` the batch's one-hot labels.
+        Subtracting its zeros leaves every probability unchanged, as indexing
+        out the true class would. ``buffers`` come from :meth:`_buffers` for
+        the batch's rows.
         """
-        outputs, deltas, masks, column = scratch
-        *inputs, delta = self._forward(X, outputs, column)
+        delta = self._forward(X, buffers)
         np.subtract(delta, targets, out=delta)
-        np.divide(delta, len(X), out=delta)
-        for layer in range(len(inputs) - 1, 0, -1):
-            a = inputs[layer]
-            np.dot(a.T, delta, grads_w[layer])
-            np.add.reduce(delta, axis=0, out=grads_b[layer])
-            delta = np.dot(delta, self.weights[layer].T, deltas[layer - 1])
+        np.divide(delta, buffers.rows, out=delta)
+        for a, a_T, grad_w, grad_b, W_T, below, mask in buffers.backward:
+            a_T.dot(delta, grad_w)
+            np.add.reduce(delta, axis=0, out=grad_b)
+            delta = delta.dot(W_T, below)
             # a ReLU output is +0.0 or positive (no weight or bias is ever
             # -0.0, so neither is XW + b), and its sign is the 0/1 mask of
             # the units that fired
-            np.multiply(delta, np.sign(a, out=masks[layer - 1]), out=delta)
-        np.dot(X.T, delta, grads_w[0])
-        np.add.reduce(delta, axis=0, out=grads_b[0])
+            np.multiply(delta, np.sign(a, out=mask), out=delta)
+        grad_w, grad_b = buffers.first
+        X_T.dot(delta, grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
 
     def predict_proba(self, queries: np.ndarray) -> np.ndarray:
-        # with no buffers given, every layer's output is a new array
-        return self._forward(queries, [None] * len(self.weights), None)[-1]
+        return self._forward(queries, self._buffers(len(queries)))
 
     def predict_many(self, queries: np.ndarray) -> np.ndarray:
         return self.predict_proba(queries).argmax(axis=1)
@@ -379,36 +399,40 @@ class MlpModel:
         _check_labels(y, self.spec.num_classes)
         probs = self.predict_proba(X)
         loss = float(-np.log(probs[np.arange(len(X)), y] + 1e-300).mean())
-        grads_w, grads_b = self._views(np.empty_like(self.params))
+        grads = np.empty_like(self.params)
         onehot = np.eye(self.spec.num_classes)[y]
-        self._gradients(X, onehot, grads_w, grads_b, self._scratch(len(X)))
-        return loss, grads_w, grads_b
+        self._gradients(X, X.T, onehot, self._buffers(len(X), grads))
+        return loss, *self._views(grads)
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng) -> None:
         spec = self.spec
         _check_labels(y, spec.num_classes)
         size = spec.mlp_batch_size
-        grads = np.empty_like(self.params)
-        grads_w, grads_b = self._views(grads)
+        params, grads = self.params, np.empty_like(self.params)
         # the buffers of a full batch, and of the short last one
-        full, last = self._scratch(min(size, len(X))), self._scratch(len(X) % size or size)
+        full = self._buffers(min(size, len(X)), grads)
+        last = self._buffers(len(X) % size or size, grads)
         onehot = np.eye(spec.num_classes)[y]
         X_epoch, targets = np.empty_like(X), np.empty_like(onehot)
+        # each epoch is gathered into the same arrays, so every step's
+        # slices, with their transposes and buffers, are made here once
+        plan = [
+            (X_epoch[start:stop], X_epoch[start:stop].T, targets[start:stop],
+             full if stop <= len(X) else last)
+            for start in range(0, len(X), size)
+            for stop in [start + size]
+        ]
+        lr, step = np.array(spec.mlp_learning_rate), self._gradients
         for _ in range(spec.mlp_epochs):
             order = rng.permutation(len(X))
-            # each epoch is gathered into the same arrays, so each step takes
-            # plain slices; ``order`` is a permutation, so "clip" never clips,
-            # and with it ``take`` writes straight into ``out``
+            # ``order`` is a permutation, so "clip" never clips, and with it
+            # ``take`` writes straight into ``out``
             np.take(X, order, axis=0, out=X_epoch, mode="clip")
             np.take(onehot, order, axis=0, out=targets, mode="clip")
-            for start in range(0, len(X), size):
-                stop = start + size
-                self._gradients(
-                    X_epoch[start:stop], targets[start:stop], grads_w, grads_b,
-                    full if stop <= len(X) else last,
-                )
-                grads *= spec.mlp_learning_rate
-                self.params -= grads
+            for batch in plan:
+                step(*batch)
+                np.multiply(grads, lr, out=grads)
+                np.subtract(params, grads, out=params)
         self.trained_on_count += len(y)
 
 

@@ -238,21 +238,50 @@ def test_mlp_loss_and_grads_returns_arrays_a_later_call_leaves_alone():
     assert any(a.tobytes() != k.tobytes() for a, k in zip(again_w + again_b, kept))
 
 
+def test_mlp_fit_step_is_loss_and_grads():
+    # one epoch of one batch holding every row is one step, taken on the
+    # rows in the order of the fit's permutation
+    n = 9
+    rng = np.random.default_rng(79)
+    X = rng.normal(size=(n, 5))
+    y = rng.integers(0, 3, size=n)
+    spec = mlp_spec(num_classes=3, mlp_hidden=(6, 4), mlp_learning_rate=0.1, mlp_batch_size=16)
+    model = MlpModel(spec, num_features=5, rng=np.random.default_rng(2))
+    order = np.random.default_rng(3).permutation(n)
+    _, grads_w, grads_b = model.loss_and_grads(X[order], y[order])
+    before = [p.copy() for p in model.weights + model.biases]
+    model.fit(X, y, np.random.default_rng(3))
+    for param, old, grad in zip(model.weights + model.biases, before, grads_w + grads_b):
+        assert param.tobytes() == (old - spec.mlp_learning_rate * grad).tobytes()
+
+
+def reference_forward(model: MlpModel, batch: np.ndarray):
+    """Every layer's input, ``batch`` first, and the softmax probabilities."""
+    activations = [batch]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ W + b, 0.0))
+    logits = activations[-1] @ model.weights[-1] + model.biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    return activations, exps / exps.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("hidden", [(1,), (28, 28), (4, 3, 5)])
+def test_mlp_predict_proba_is_bit_identical_to_the_reference_forward(hidden):
+    rng = np.random.default_rng(80 + len(hidden))
+    model = MlpModel(mlp_spec(num_classes=4, mlp_hidden=hidden), num_features=7, rng=rng)
+    X = rng.normal(size=(50, 7)) * 3
+    model.fit(X, rng.integers(0, 4, size=50), rng)
+    queries = rng.normal(size=(37, 7)) * 3
+    assert model.predict_proba(queries).tobytes() == reference_forward(model, queries)[1].tobytes()
+
+
 def reference_fit(model: MlpModel, X: np.ndarray, y: np.ndarray, rng) -> None:
     """The per-layer SGD loop ``MlpModel.fit`` replaced, kept as its oracle."""
     spec = model.spec
 
-    def forward(batch):
-        activations = [batch]
-        for W, b in zip(model.weights[:-1], model.biases[:-1]):
-            activations.append(np.maximum(activations[-1] @ W + b, 0.0))
-        logits = activations[-1] @ model.weights[-1] + model.biases[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        return activations, exps / exps.sum(axis=1, keepdims=True)
-
     def loss_and_grads(batch, labels):
-        activations, probs = forward(batch)
+        activations, probs = reference_forward(model, batch)
         n = len(batch)
         loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
         delta = probs.copy()
@@ -280,7 +309,7 @@ def reference_fit(model: MlpModel, X: np.ndarray, y: np.ndarray, rng) -> None:
 
 @pytest.mark.parametrize("hidden", [(1,), (8,), (28, 28), (4, 3, 5)])
 @pytest.mark.parametrize("num_classes", [2, 4, 5])
-@pytest.mark.parametrize("n, batch_size", [(1, 32), (23, 5), (10, 32), (33, 8)])
+@pytest.mark.parametrize("n, batch_size", [(1, 32), (23, 5), (10, 32), (33, 8), (5, 1)])
 def test_mlp_fit_is_bit_identical_to_the_per_layer_loop(hidden, num_classes, n, batch_size):
     # the cases pin the per-fit scratch buffers: a 1-row fit, a ragged last
     # batch (of one row at n=33), a batch larger than the fit, three hidden
