@@ -254,7 +254,7 @@ def _check_labels(y: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels outside 0..{num_classes - 1}: range {y.min()}..{y.max()}")
 
 
-# the ReLU's floor, as a 0-d array: a Python float operand costs a ufunc more
+# the ReLU's floor as a 0-d array, which a ufunc takes faster than a Python float
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
@@ -408,7 +408,7 @@ class MlpModel:
         spec = self.spec
         _check_labels(y, spec.num_classes)
         size = spec.mlp_batch_size
-        params, grads = self.params, np.empty_like(self.params)
+        grads = np.empty_like(self.params)
         # the buffers of a full batch, and of the short last one
         full = self._buffers(min(size, len(X)), grads)
         last = self._buffers(len(X) % size or size, grads)
@@ -416,13 +416,12 @@ class MlpModel:
         X_epoch, targets = np.empty_like(X), np.empty_like(onehot)
         # each epoch is gathered into the same arrays, so every step's
         # slices, with their transposes and buffers, are made here once
-        plan = [
-            (X_epoch[start:stop], X_epoch[start:stop].T, targets[start:stop],
-             full if stop <= len(X) else last)
-            for start in range(0, len(X), size)
-            for stop in [start + size]
-        ]
-        lr, step = np.array(spec.mlp_learning_rate), self._gradients
+        plan = []
+        for start in range(0, len(X), size):
+            stop = start + size
+            rows = X_epoch[start:stop]
+            plan.append((rows, rows.T, targets[start:stop], full if stop <= len(X) else last))
+        lr = np.array(spec.mlp_learning_rate)
         for _ in range(spec.mlp_epochs):
             order = rng.permutation(len(X))
             # ``order`` is a permutation, so "clip" never clips, and with it
@@ -430,9 +429,9 @@ class MlpModel:
             np.take(X, order, axis=0, out=X_epoch, mode="clip")
             np.take(onehot, order, axis=0, out=targets, mode="clip")
             for batch in plan:
-                step(*batch)
-                np.multiply(grads, lr, out=grads)
-                np.subtract(params, grads, out=params)
+                self._gradients(*batch)
+                grads *= lr
+                self.params -= grads
         self.trained_on_count += len(y)
 
 
