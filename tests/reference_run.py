@@ -7,8 +7,9 @@ is a list; kNN takes direct-difference distances to every training row and
 the first k of a stable sort, and the centroid rule per-class means; the
 classifier, then the label model, is retrained as soon as the pool grows;
 the cumulative fractions are running sums. It shares with the package only
-what other tests check on their own: config parsing, data generation,
-splitting, noise injection, the MLP and the report type.
+what other tests check on their own: config parsing, data generation, CSV
+loading (``load_csv``), splitting, noise injection, the MLP and the report
+type.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from cleanstream.core import generate_synthetic, split_stream
+from cleanstream.core import generate_synthetic, load_csv, split_stream
 from cleanstream.harness import ExperimentConfig
 from cleanstream.metrics import BatchReport
 from cleanstream.models import ClassifierSpec, MlpModel
@@ -97,10 +98,13 @@ def _ask_oracle(candidates, cap: int, rng):
 
 
 def reference_run(config: ExperimentConfig, repetition: int) -> tuple[float, list[BatchReport]]:
-    """The initial test accuracy and one report per arrival of one synthetic repetition."""
+    """The initial test accuracy and one report per arrival of one repetition."""
     stream, kind = config.stream, config.variant
     num_classes, batch_size = stream.num_classes, stream.batch_size
-    dataset = generate_synthetic(stream, separation=config.separation)
+    if config.dataset_path:
+        dataset = load_csv(config.dataset_path, num_classes)
+    else:
+        dataset = generate_synthetic(stream, separation=config.separation)
     split_rng = np.random.default_rng(stream.seed ^ repetition)
     initial, arrivals, test = split_stream(dataset, stream, split_rng)
     noise_rng = np.random.default_rng(config.noise.seed ^ repetition)

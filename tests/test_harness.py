@@ -204,18 +204,6 @@ def test_readme_config_table_lists_exactly_the_config_keys():
 # ---------------------------------------------------------------------------
 # run loop wiring
 
-def test_run_single_fills_cumulative_metrics():
-    result = run_single(config_from_mapping(small_mapping()), 0)
-    assert len(result.reports) == 3
-    running_a = 0.0
-    for r in result.reports:
-        running_a += r.selected_count / 20
-        assert r.cumulative_A == running_a
-        assert r.cumulative_A >= r.cumulative_A_truth
-        assert 0.0 <= r.test_accuracy <= 1.0
-    assert result.final_accuracy == result.reports[-1].test_accuracy
-
-
 def test_repetitions_differ_but_are_individually_deterministic():
     config = config_from_mapping(small_mapping())
     a0 = run_single(config, 0)
@@ -273,17 +261,6 @@ def test_splits_use_the_generated_features_as_loaded(monkeypatch):
         np.testing.assert_array_equal(np.stack([inst.features for inst in part]), before)
 
 
-def test_csv_dataset_source_round_trip(tmp_path):
-    from cleanstream.core import generate_synthetic, save_csv
-
-    config = config_from_mapping(small_mapping())
-    path = tmp_path / "stream.csv"
-    save_csv(generate_synthetic(config.stream, separation=4.0), path)
-    mapping = small_mapping(**{"dataset.path": str(path)})
-    result = run_single(config_from_mapping(mapping), 0)
-    assert len(result.reports) == 3
-
-
 def test_csv_dataset_width_must_match_num_features(tmp_path):
     from cleanstream.core import generate_synthetic, save_csv
 
@@ -295,40 +272,6 @@ def test_csv_dataset_width_must_match_num_features(tmp_path):
         run_single(config_from_mapping(mapping), 0)
     assert "stream.num_features = 20" in str(err.value)
     assert "3 feature columns" in str(err.value)
-
-
-EDGE_CASES = {
-    "batch_of_one": {"stream.batch_size": "1"},
-    "two_classes": {"stream.num_classes": "2"},
-    "knn_k_beyond_pool": {
-        "classifier.knn_k": "500",
-        "label_model.kind": "knn",
-        "label_model.knn_k": "500",
-    },
-    "zero_oracle_budget": {"oracle.fraction": "0"},
-    "all_noise_arrivals": {
-        "noise.mean": "1.0",
-        "noise.std": "0.0",
-        "initial.clean": "true",
-    },
-}
-
-
-@pytest.mark.parametrize("case", sorted(EDGE_CASES))
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_stream_edge_cases_keep_run_invariants(variant, case):
-    mapping = small_mapping(**EDGE_CASES[case])
-    mapping["framework.variant"] = variant
-    config = config_from_mapping(mapping)
-    result = run_single(config, 0)
-    batch_size = config.stream.batch_size
-    cap = config.budget.max_queries(batch_size)
-    assert len(result.reports) == config.stream.num_batches
-    for r in result.reports:
-        assert 0 <= r.selected_count <= batch_size
-        assert r.cumulative_A >= r.cumulative_A_truth
-        assert r.oracle_queries <= cap
-    assert result.oracle_queries_total == sum(r.oracle_queries for r in result.reports)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ buffers, the fused SGD step) are held to a plain reading of the kinds. Each
 kind is its own test, so every kind gets the whole example budget.
 
 The same ``run_single`` run is checked after every arrival against the run
-invariants (:func:`checked_arrivals`). Fixed overlapping streams make sure
-that ``active`` and ``slimmed`` meet oracle answers that change a label, and
-that a cap of 0.29 of a batch of 100 binds at 29, the decimal as written.
+invariants, and at every evaluation the incremental test scorer against a
+fresh ``predict_many`` (:func:`checked_arrivals`). The fixed streams of
+``FIXED_STREAMS`` go through the same checks for every kind: the stream
+edge cases, integer-grid streams whose kNN distances tie exactly, which
+random continuous streams never do, overlapping classes on which the
+oracle changes labels, and a stream read from a CSV.
 """
 
 from __future__ import annotations
@@ -30,24 +33,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_run import reference_run
+from test_harness import SMALL
 
-from cleanstream import frameworks
+from cleanstream import frameworks, harness
+from cleanstream.core import LabeledInstance, generate_synthetic, save_csv
 from cleanstream.frameworks import ALL_VARIANTS, LABEL_MODEL_VARIANTS, GroundTruthOracle
 from cleanstream.harness import RepetitionError, config_from_mapping, run_single
-from cleanstream.models import MODEL_KINDS, features_matrix, given_labels
+from cleanstream.models import MODEL_KINDS, KnnModel, features_matrix, given_labels
 
 
 @contextmanager
 def checked_arrivals(config):
-    """Check the run invariants after every arrival of the ``run_single`` run inside.
+    """Check the ``run_single`` run inside after every arrival and evaluation.
 
-    A failure is recorded, not raised, since ``run_single`` would turn it into
-    a ``RepetitionError``, which the differential test reads as a failure the
-    reference must share.
+    After every arrival it checks the run invariants. At every evaluation it
+    checks that the test set's scorer predicts what ``predict_many`` does, and
+    records whether the scorer took the incremental fold, with the number of
+    rows the model was trained on. A failure is recorded, not raised, since
+    ``run_single`` would turn it into a ``RepetitionError``, which the
+    differential test reads as a failure the reference must share.
     """
-    # relabels: oracle answers that differ from the given label
-    checks = SimpleNamespace(queries=0, relabels=0, failures=[])
-    step, answer = frameworks.step, GroundTruthOracle.answer
+    # relabels: oracle answers that differ from the given label;
+    # evaluations: (folded incrementally, rows the model was trained on)
+    checks = SimpleNamespace(queries=0, relabels=0, evaluations=[], failures=[])
+    step, answer, evaluate = frameworks.step, GroundTruthOracle.answer, harness.evaluate_accuracy
     delivered: set[int] = set()  # uids, since a relabel makes a new record
 
     def counting_answer(oracle, instance):
@@ -69,9 +78,24 @@ def checked_arrivals(config):
             checks.failures.append(f"arrival {batch.index}: {exc}")
         return state, report
 
+    def checked_evaluate(model, test):
+        accuracy = evaluate(model, test)
+        folded = (
+            isinstance(model, KnnModel)
+            and test.pool is model.pool
+            and test.folded == model.trained_on_count
+        )
+        checks.evaluations.append((folded, model.trained_on_count))
+        # the model's rows are folded in by now, so this folds nothing new
+        if not np.array_equal(test.predict(model), model.predict_many(test.X)):
+            checks.failures.append(
+                f"evaluation {len(checks.evaluations) - 1}: the scorer differs from predict_many"
+            )
+        return accuracy
+
     with patch.object(frameworks, "step", checked_step), patch.object(
         GroundTruthOracle, "answer", counting_answer
-    ):
+    ), patch.object(harness, "evaluate_accuracy", checked_evaluate):
         yield checks
 
 
@@ -143,54 +167,195 @@ def configs(draw):
     return config, draw(st.integers(0, 3))
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-@settings(max_examples=100, deadline=None)
-@given(case=configs())
-def test_run_single_matches_the_reference_run(variant, case):
-    config, repetition = case
-    config = replace(config, variant=variant)
-    try:
-        with checked_arrivals(config) as checks:
+def checked_run(config, repetition: int):
+    """``run_single`` under :func:`checked_arrivals`, held to ``reference_run``.
+
+    Returns the result, or ``None`` if the run failed as the reference does,
+    with the checks.
+    """
+    with checked_arrivals(config) as checks:
+        try:
             result = run_single(config, repetition)
-    except RepetitionError:
-        assert not checks.failures, checks.failures[0]
+        except RepetitionError:
+            result = None
+    assert not checks.failures, checks.failures[0]
+    if result is None:
         with pytest.raises(ValueError):
             reference_run(config, repetition)
-        return
-    assert not checks.failures, checks.failures[0]
+        return None, checks
     for report in result.reports:
         assert report.cumulative_A >= report.cumulative_A_truth
     initial_accuracy, reports = reference_run(config, repetition)
     assert result.initial_accuracy == initial_accuracy
     assert result.reports == reports
+    return result, checks
 
 
-@pytest.mark.parametrize(
-    "variant, overrides, binding_cap",
-    [
-        ("active", {}, None),
-        ("slimmed", {}, None),
-        # 0.29 * 100 is 28.999... in binary floating point; the cap is 29
-        ("slimmed", {"stream.batch_size": 100, "oracle.fraction": 0.29}, 29),
-    ],
-    ids=["active", "slimmed", "slimmed-batch100-fraction0.29"],
-)
-def test_oracle_relabels_keep_the_pool_buffers_in_step(variant, overrides, binding_cap):
-    # two different models, so the active variant's label model and
-    # classifier can both disagree with a label and send it to the oracle
-    mapping = {
-        "framework.variant": variant,
-        "stream.num_classes": 3, "stream.num_features": 3, "stream.initial_batch_size": 12,
-        "stream.batch_size": 12, "stream.num_batches": 4, "stream.test_size": 5,
-        "stream.seed": 11, "dataset.separation": 0.5,
-        "noise.mean": 0.4, "noise.std": 0, "noise.seed": 11, "initial.clean": True,
-        "label_model.kind": "centroid", "classifier.kind": "knn", "classifier.knn_k": 3,
-        **overrides,
-    }
-    config = config_from_mapping({key: str(value) for key, value in mapping.items()})
-    with checked_arrivals(config) as checks:
-        result = run_single(config, 0)
-    assert not checks.failures, checks.failures[0]
-    assert checks.relabels >= 1
-    if binding_cap is not None:
-        assert max(report.oracle_queries for report in result.reports) == binding_cap
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@settings(max_examples=100, deadline=None)
+@given(case=configs())
+def test_run_single_matches_the_reference_run(variant, case):
+    config, repetition = case
+    checked_run(replace(config, variant=variant), repetition)
+
+
+def grid_dataset(path, size: int, num_features: int, num_classes: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(size, num_features)).astype(np.float64)
+    labels = (X.sum(axis=1).astype(np.int64) + rng.integers(0, 2, size)) % num_classes
+    save_csv(
+        [LabeledInstance(x, int(c), int(c), uid=i) for i, (x, c) in enumerate(zip(X, labels))],
+        path,
+    )
+
+
+# kNN in both roles on a clean initial batch, for the fold's scenarios
+KNN = {
+    "stream.test_size": "40",
+    "noise.mean": "0.3",
+    "initial.clean": "true",
+    "classifier.kind": "knn",
+    "label_model.kind": "knn",
+    "label_model.knn_k": "1",
+}
+# three close classes and two different models, so the active kind's label
+# model and classifier can both disagree with a label and send it to the oracle
+OVERLAPPING = {
+    "stream.num_classes": "3", "stream.num_features": "3", "stream.initial_batch_size": "12",
+    "stream.batch_size": "12", "stream.num_batches": "4", "stream.test_size": "5",
+    "stream.seed": "11", "dataset.separation": "0.5",
+    "noise.mean": "0.4", "noise.std": "0", "noise.seed": "11", "initial.clean": "true",
+    "label_model.kind": "centroid", "classifier.kind": "knn", "classifier.knn_k": "3",
+}
+
+# Each stream runs for every kind, which sets ``framework.variant``. A
+# ``source`` of ``grid`` reads an integer-grid CSV, and ``csv`` the synthetic
+# stream saved to a CSV. Every stream has a kNN classifier, so the scorer's
+# fold is checked at every evaluation.
+FIXED_STREAMS = {
+    # one instance per arrival
+    "batch_of_one": {**SMALL, "stream.batch_size": "1"},
+    # K=2, the fewest classes
+    "two_classes": {**SMALL, "stream.num_classes": "2"},
+    # k beyond every pool, in both roles
+    "knn_k_beyond_pool": {
+        **SMALL,
+        "classifier.knn_k": "500",
+        "label_model.kind": "knn",
+        "label_model.knn_k": "500",
+    },
+    # no oracle query at all
+    "zero_oracle_budget": {**SMALL, "oracle.fraction": "0"},
+    # every arrival all noise, after a clean initial batch
+    "all_noise_arrivals": {
+        **SMALL,
+        "noise.mean": "1.0",
+        "noise.std": "0.0",
+        "initial.clean": "true",
+    },
+    # integer features in {0, 1, 2}: the arithmetic is exact and many pool
+    # rows tie at the k-th distance
+    "integer_grid": {
+        **KNN,
+        "source": "grid",
+        "stream.num_classes": "3",
+        "stream.num_features": "2",
+        "stream.initial_batch_size": "30",
+        "stream.batch_size": "20",
+        "stream.num_batches": "5",
+        "classifier.knn_k": "4",
+    },
+    # knn_k is beyond the initial pool, so k grows while the stream runs
+    "k_grows": {
+        **KNN,
+        "source": "grid",
+        "stream.num_classes": "3",
+        "stream.num_features": "3",
+        "stream.initial_batch_size": "6",
+        "stream.batch_size": "4",
+        "stream.num_batches": "8",
+        "classifier.knn_k": "15",
+    },
+    # grid ties with K=2 and a fold of one row per arrival
+    "two_classes_batch_of_one": {
+        **KNN,
+        "source": "grid",
+        "stream.num_classes": "2",
+        "stream.num_features": "2",
+        "stream.initial_batch_size": "5",
+        "stream.batch_size": "1",
+        "stream.num_batches": "12",
+        "classifier.knn_k": "3",
+    },
+    # continuous features over more columns than the grids, blocks of many rows
+    "continuous": {
+        **KNN,
+        "stream.num_classes": "4",
+        "stream.num_features": "5",
+        "stream.initial_batch_size": "40",
+        "stream.batch_size": "25",
+        "stream.num_batches": "4",
+        "classifier.knn_k": "5",
+    },
+    # oracle answers that change a label, for the active and slimmed kinds
+    "oracle_relabels": OVERLAPPING,
+    # 0.29 * 100 is 28.999... in binary floating point; the cap is 29
+    "oracle_cap_29_of_100": {
+        **OVERLAPPING,
+        "stream.batch_size": "100",
+        "oracle.fraction": "0.29",
+    },
+    # a CSV stream runs as the synthetic stream it was saved from
+    "csv": {**SMALL, "source": "csv", "dataset.separation": "4.0"},
+}
+
+
+def stream_config(tmp_path, name: str, kind: str):
+    """The fixed stream's config for one kind, with its CSV written under ``tmp_path``."""
+    mapping = {**FIXED_STREAMS[name], "framework.variant": kind}
+    source = mapping.pop("source", None)
+    config = config_from_mapping(mapping)
+    if source is None:
+        return config
+    stream, path = config.stream, tmp_path / f"{name}.csv"
+    if source == "grid":
+        size = stream.initial_batch_size + stream.batch_size * stream.num_batches
+        grid_dataset(
+            path, size + stream.test_size, stream.num_features, stream.num_classes, seed=len(name)
+        )
+    else:
+        save_csv(generate_synthetic(stream, separation=config.separation), path)
+    return replace(config, dataset_path=str(path))
+
+
+@pytest.mark.parametrize("kind", ALL_VARIANTS)
+@pytest.mark.parametrize("name", FIXED_STREAMS)
+def test_fixed_stream_matches_the_reference_run(tmp_path, name, kind):
+    config = stream_config(tmp_path, name, kind)
+    result, checks = checked_run(config, 0)
+    assert result is not None
+    stream = config.stream
+    assert len(checks.evaluations) == stream.num_batches + 1
+    folded = [f for f, _ in checks.evaluations]
+    trained = [n for _, n in checks.evaluations]
+    if kind == "slimmed":
+        # slimmed retrains on a window, not the pool, so after its first
+        # arrival every evaluation takes the full path
+        assert folded == [True] + [False] * stream.num_batches
+    else:
+        assert all(folded)
+    arrived = stream.batch_size * stream.num_batches
+    if kind in ("no_sel", "full_clean") and arrived > stream.initial_batch_size:
+        # these take every arrival, so where the arrivals outnumber the
+        # initial batch, the pool outgrows at least one doubling of its buffers
+        assert trained[-1] > 2 * trained[0]
+        if name == "k_grows":
+            assert trained[0] < config.classifier_spec.knn_k < trained[-1]
+    if name in ("oracle_relabels", "oracle_cap_29_of_100") and kind in ("active", "slimmed"):
+        assert checks.relabels >= 1
+    if name == "oracle_cap_29_of_100" and kind == "slimmed":
+        assert max(report.oracle_queries for report in result.reports) == 29
+    if name == "csv":
+        synthetic = run_single(replace(config, dataset_path=None), 0)
+        assert synthetic.initial_accuracy == result.initial_accuracy
+        assert synthetic.reports == result.reports
