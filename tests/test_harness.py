@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_reference_run import EDGE_CASES, SMALL, check_fixed_stream
 
 import cleanstream.harness as harness
 from cleanstream.cli import _parse_overrides
@@ -33,20 +34,6 @@ from cleanstream.harness import (
     summary_lines,
 )
 from cleanstream.metrics import BatchReport, RunResult, aggregate_runs
-
-SMALL = {
-    "stream.num_classes": "3",
-    "stream.num_features": "5",
-    "stream.initial_batch_size": "50",
-    "stream.batch_size": "20",
-    "stream.num_batches": "3",
-    "stream.test_size": "40",
-    "noise.mean": "0.3",
-    "classifier.kind": "knn",
-    "classifier.knn_k": "3",
-    "label_model.kind": "centroid",
-    "framework.variant": "voting",
-}
 
 
 def small_mapping(**overrides) -> dict[str, str]:
@@ -272,6 +259,12 @@ def test_csv_dataset_width_must_match_num_features(tmp_path):
         run_single(config_from_mapping(mapping), 0)
     assert "stream.num_features = 20" in str(err.value)
     assert "3 feature columns" in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_stream_edge_cases_keep_run_invariants(tmp_path, variant, case):
+    check_fixed_stream(tmp_path, case, variant)
 
 
 # ---------------------------------------------------------------------------

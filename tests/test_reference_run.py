@@ -17,7 +17,10 @@ fresh ``predict_many`` (:func:`checked_arrivals`). The fixed streams of
 ``FIXED_STREAMS`` go through the same checks for every kind: the stream
 edge cases, integer-grid streams whose kNN distances tie exactly, which
 random continuous streams never do, overlapping classes on which the
-oracle changes labels, and a stream read from a CSV.
+oracle changes labels, and a stream read from a CSV. The edge cases run
+under ``tests/test_harness.py``'s ``test_stream_edge_cases_keep_run_invariants``,
+the others under :func:`test_fixed_stream_matches_the_reference_run`; both
+call :func:`check_fixed_stream`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_run import reference_run
-from test_harness import SMALL
 
 from cleanstream import frameworks, harness
 from cleanstream.core import LabeledInstance, generate_synthetic, save_csv
@@ -209,6 +211,20 @@ def grid_dataset(path, size: int, num_features: int, num_classes: int, seed: int
     )
 
 
+# the small stream of the edge cases and of tests/test_harness.py
+SMALL = {
+    "stream.num_classes": "3",
+    "stream.num_features": "5",
+    "stream.initial_batch_size": "50",
+    "stream.batch_size": "20",
+    "stream.num_batches": "3",
+    "stream.test_size": "40",
+    "noise.mean": "0.3",
+    "classifier.kind": "knn",
+    "classifier.knn_k": "3",
+    "label_model.kind": "centroid",
+    "framework.variant": "voting",
+}
 # kNN in both roles on a clean initial batch, for the fold's scenarios
 KNN = {
     "stream.test_size": "40",
@@ -228,11 +244,8 @@ OVERLAPPING = {
     "label_model.kind": "centroid", "classifier.kind": "knn", "classifier.knn_k": "3",
 }
 
-# Each stream runs for every kind, which sets ``framework.variant``. A
-# ``source`` of ``grid`` reads an integer-grid CSV, and ``csv`` the synthetic
-# stream saved to a CSV. Every stream has a kNN classifier, so the scorer's
-# fold is checked at every evaluation.
-FIXED_STREAMS = {
+# the stream edge cases, on SMALL
+EDGE_CASES = {
     # one instance per arrival
     "batch_of_one": {**SMALL, "stream.batch_size": "1"},
     # K=2, the fewest classes
@@ -253,6 +266,13 @@ FIXED_STREAMS = {
         "noise.std": "0.0",
         "initial.clean": "true",
     },
+}
+# Each stream runs for every kind, which sets ``framework.variant``. A
+# ``source`` of ``grid`` reads an integer-grid CSV, and ``csv`` the synthetic
+# stream saved to a CSV. Every stream has a kNN classifier, so the scorer's
+# fold is checked at every evaluation.
+FIXED_STREAMS = {
+    **EDGE_CASES,
     # integer features in {0, 1, 2}: the arithmetic is exact and many pool
     # rows tie at the k-th distance
     "integer_grid": {
@@ -328,9 +348,8 @@ def stream_config(tmp_path, name: str, kind: str):
     return replace(config, dataset_path=str(path))
 
 
-@pytest.mark.parametrize("kind", ALL_VARIANTS)
-@pytest.mark.parametrize("name", FIXED_STREAMS)
-def test_fixed_stream_matches_the_reference_run(tmp_path, name, kind):
+def check_fixed_stream(tmp_path, name: str, kind: str) -> None:
+    """Run the fixed stream for one kind through :func:`checked_run` and its coverage checks."""
     config = stream_config(tmp_path, name, kind)
     result, checks = checked_run(config, 0)
     assert result is not None
@@ -359,3 +378,9 @@ def test_fixed_stream_matches_the_reference_run(tmp_path, name, kind):
         synthetic = run_single(replace(config, dataset_path=None), 0)
         assert synthetic.initial_accuracy == result.initial_accuracy
         assert synthetic.reports == result.reports
+
+
+@pytest.mark.parametrize("kind", ALL_VARIANTS)
+@pytest.mark.parametrize("name", [name for name in FIXED_STREAMS if name not in EDGE_CASES])
+def test_fixed_stream_matches_the_reference_run(tmp_path, name, kind):
+    check_fixed_stream(tmp_path, name, kind)
