@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -249,31 +249,6 @@ def test_generation_rejects_non_positive_separation():
 # ---------------------------------------------------------------------------
 # stream splitting
 
-def test_split_is_an_exact_disjoint_partition():
-    config = make_config()
-    dataset = generate_synthetic(config)
-    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(0))
-    assert initial.index == 0
-    assert len(initial.instances) == config.initial_batch_size
-    assert [b.index for b in arrivals] == list(range(1, config.num_batches + 1))
-    assert all(len(b.instances) == config.batch_size for b in arrivals)
-    assert len(test) == config.test_size
-
-    seen = [inst.uid for inst in initial.instances]
-    for batch in arrivals:
-        seen += [inst.uid for inst in batch.instances]
-    seen += [inst.uid for inst in test]
-    assert len(seen) == len(set(seen)) == config.total_instances
-
-
-def test_split_leaves_surplus_instances_unused():
-    config = make_config()
-    dataset = generate_synthetic(config) + generate_synthetic(make_config(seed=1))
-    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(0))
-    used = len(initial.instances) + sum(len(b.instances) for b in arrivals) + len(test)
-    assert used == config.total_instances
-
-
 def test_split_reports_required_and_available():
     config = make_config()
     dataset = generate_synthetic(config)[:50]
@@ -295,34 +270,6 @@ def test_split_determinism_and_seed_sensitivity():
     assert uids(a[0]) != uids(c[0])
 
 
-def test_split_allows_zero_arrivals():
-    config = make_config(num_batches=0)
-    dataset = generate_synthetic(config)
-    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(0))
-    assert arrivals == []
-    assert len(initial.instances) == config.initial_batch_size
-    assert len(test) == config.test_size
-
-
-def test_stratified_split_keeps_class_shares():
-    config = make_config(
-        num_classes=4,
-        initial_batch_size=40,
-        batch_size=20,
-        num_batches=3,
-        test_size=40,
-        stratify=True,
-    )
-    dataset = generate_synthetic(config)
-    overall = np.bincount([inst.given_label for inst in dataset], minlength=4)
-    share = overall / overall.sum()
-    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(1))
-    for group in [initial.instances] + [b.instances for b in arrivals] + [test]:
-        counts = np.bincount([inst.given_label for inst in group], minlength=4)
-        expected = share * len(group)
-        assert np.abs(counts - expected).max() <= 2
-
-
 def test_stratified_split_order_is_pinned():
     # six of class 0, three of class 1 and one of class 2; the i-th of a
     # class's n shuffled instances sorts at (i + 1/2) / n, ties in dataset order
@@ -342,10 +289,11 @@ def test_stratified_split_order_is_pinned():
     batch=st.integers(1, 10),
     batches=st.integers(0, 6),
     test=st.integers(1, 15),
+    surplus=st.integers(0, 10),
     seed=st.integers(0, 1000),
     stratify=st.booleans(),
 )
-def test_split_partition_property(initial, batch, batches, test, seed, stratify):
+def test_split_partition_property(initial, batch, batches, test, surplus, seed, stratify):
     config = StreamConfig(
         num_classes=3,
         num_features=2,
@@ -356,8 +304,12 @@ def test_split_partition_property(initial, batch, batches, test, seed, stratify)
         seed=0,
         stratify=stratify,
     )
-    dataset = generate_synthetic(config)
+    # a dataset with surplus instances, which the split leaves unused
+    dataset = generate_synthetic(replace(config, test_size=test + surplus))
     init, arrivals, heldout = split_stream(dataset, config, np.random.default_rng(seed))
+    assert init.index == 0 and len(init.instances) == initial
+    assert [b.index for b in arrivals] == list(range(1, batches + 1))
+    assert all(len(b.instances) == batch for b in arrivals)
     uids = [i.uid for i in init.instances]
     for b in arrivals:
         uids += [i.uid for i in b.instances]

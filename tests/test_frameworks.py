@@ -1,8 +1,9 @@
-"""Framework step semantics: cleansing, voting, history, oracle, slimmed window.
+"""Step semantics of every kind: cleansing, voting, history, oracle, slimmed window, baselines.
 
 The decision-rule tests drive the steps with stub models whose predictions
 are scripted per instance, so expected pool contents are hand-computable.
-Integration tests at the bottom use the real models.
+From the slimmed section on, the tests step the real models over small
+generated streams; the baselines come last.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 import cleanstream.frameworks as frameworks
 from cleanstream.core import Batch, LabeledInstance, StreamConfig, generate_synthetic, split_stream
 from cleanstream.frameworks import (
+    BASELINE_KINDS,
     GroundTruthOracle,
     OracleBudget,
     cleanse,
@@ -20,6 +22,7 @@ from cleanstream.frameworks import (
     reprocess_history,
     voting_filter,
 )
+from cleanstream.harness import config_from_mapping, run_single
 from cleanstream.models import ClassifierSpec, MlpModel, predict_batch
 from cleanstream.noise import inject_symmetric_noise
 
@@ -402,65 +405,6 @@ def small_stream(num_batches=4, batch_size=12, noise=0.4, seed=3, separation=4.0
     return initial, arrivals, test
 
 
-def record_training_windows(monkeypatch) -> list[list[int]]:
-    """Record the uids of every window ``frameworks.train_model`` fits from now on."""
-    windows: list[list[int]] = []
-    real_train = frameworks.train_model
-
-    def recording_train(spec, instances, rng):
-        windows.append([i.uid for i in instances])
-        return real_train(spec, instances, rng)
-
-    monkeypatch.setattr(frameworks, "train_model", recording_train)
-    return windows
-
-
-def test_slimmed_trains_on_exactly_keepers_plus_two_oracle_batches(monkeypatch):
-    initial, arrivals, _ = small_stream()
-    spec = ClassifierSpec(kind="centroid", num_classes=3)
-    state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
-    windows = record_training_windows(monkeypatch)
-    prev_queried: list[int] = []
-    for batch in arrivals:
-        preds = predict_batch(state.classifier, batch.instances)
-        agreed = [i.uid for i, p in zip(batch.instances, preds) if p == i.given_label]
-        disagreed = [i.uid for i, p in zip(batch.instances, preds) if p != i.given_label]
-        state, report = frameworks.step(state, batch)
-        assert len(windows) == 1  # one fresh fit per arrival
-        window = sorted(windows.pop())
-        assert window == sorted(agreed + disagreed + prev_queried)
-        assert report.oracle_queries == len(disagreed)
-        assert report.selected_count == len(batch.instances)  # unlimited budget
-        assert state.classifier.trained_on_count == len(window)  # fresh, window-only
-        assert [i.uid for i in state.prev_oracle_batch] == disagreed
-        prev_queried = disagreed
-    assert state.label_model is None
-
-
-def test_slimmed_oracle_batches_are_trained_on_exactly_twice(monkeypatch):
-    initial, arrivals, _ = small_stream(num_batches=5)
-    spec = ClassifierSpec(kind="centroid", num_classes=3)
-    state = initialize("slimmed", initial, None, spec, np.random.default_rng(0))
-    windows = record_training_windows(monkeypatch)
-    oracle = state.oracle = CountingOracle()
-    queried_per_arrival: list[list[int]] = []
-    for batch in arrivals:
-        before = len(oracle.asked)
-        state, _ = frameworks.step(state, batch)
-        queried_per_arrival.append(oracle.asked[before:])
-        assert len(windows) == len(queried_per_arrival)
-    appearances = {}
-    for window in windows:
-        for uid in window:
-            appearances[uid] = appearances.get(uid, 0) + 1
-    for arrival, queried in enumerate(queried_per_arrival):
-        expected = 2 if arrival < len(queried_per_arrival) - 1 else 1
-        for uid in queried:
-            assert appearances[uid] == expected, (
-                f"oracle uid {uid} from arrival {arrival} seen {appearances[uid]} times"
-            )
-
-
 def test_slimmed_mlp_warm_starts_instead_of_retraining():
     initial, arrivals, _ = small_stream(num_batches=2)
     spec = ClassifierSpec(kind="mlp", num_classes=3, mlp_hidden=(6,), mlp_epochs=3)
@@ -488,67 +432,6 @@ def test_slimmed_budget_caps_queries_and_discards_rest():
 
 # ---------------------------------------------------------------------------
 # integration with real models
-
-def test_voting_conservation_with_real_models(monkeypatch):
-    events: list[tuple[str, int, int]] = []
-    real_cleanse = frameworks.cleanse
-    real_filter = frameworks.voting_filter
-
-    def recording_cleanse(model, instances):
-        agreed, disagreed, preds = real_cleanse(model, instances)
-        events.append(("cleanse", len(agreed), len(disagreed)))
-        return agreed, disagreed, preds
-
-    def recording_filter(instances, label_predictions, clf):
-        accepted, rejected = real_filter(instances, label_predictions, clf)
-        events.append(("filter", len(accepted), len(rejected)))
-        return accepted, rejected
-
-    monkeypatch.setattr(frameworks, "cleanse", recording_cleanse)
-    monkeypatch.setattr(frameworks, "voting_filter", recording_filter)
-
-    initial, arrivals, _ = small_stream(num_batches=5, batch_size=15)
-    state = initialize(
-        "voting",
-        initial,
-        ClassifierSpec(kind="centroid", num_classes=3),
-        ClassifierSpec(kind="knn", num_classes=3, knn_k=3),
-        np.random.default_rng(0),
-    )
-    for batch in arrivals:
-        events.clear()
-        state, report = frameworks.step(state, batch)
-        assert events[0][0] == "cleanse"
-        clean, dirty = events[0][1], events[0][2]
-        assert events[1][0] == "filter"
-        accepted, rejected = events[1][1], events[1][2]
-        assert clean + dirty == len(batch.instances)
-        assert accepted + rejected == dirty
-        assert report.selected_count == clean + accepted
-        assert report.inactive_total == sum(len(g) for g in state.inactive)
-        sizes = [len(g) for g in state.inactive]
-        assert sizes == sorted(sizes, reverse=True)
-
-
-def test_active_with_real_models_keeps_whole_batch_when_unlimited():
-    initial, arrivals, _ = small_stream(num_batches=4, batch_size=15)
-    state = initialize(
-        "active",
-        initial,
-        ClassifierSpec(kind="centroid", num_classes=3),
-        ClassifierSpec(kind="knn", num_classes=3, knn_k=3),
-        np.random.default_rng(0),
-    )
-    oracle = state.oracle = CountingOracle()
-    total_queries = 0
-    for batch in arrivals:
-        state, report = frameworks.step(state, batch)
-        total_queries += report.oracle_queries
-        assert report.selected_count == len(batch.instances)
-        assert report.inactive_total == 0
-        assert all(inst.is_clean for inst in batch.instances if inst.uid in set(oracle.asked))
-    assert total_queries == len(oracle.asked)
-
 
 @pytest.mark.parametrize(
     "label_kind, classifier_kind, asks",
@@ -616,6 +499,12 @@ def test_rad_fits_its_label_model_once_per_arrival_on_the_classifiers_rows(monke
         assert rows.tobytes() == expected.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# baselines
+
+BASELINE_SPEC = ClassifierSpec(kind="knn", num_classes=3, knn_k=3)
+
+
 def test_step_runs_a_baseline_state():
     initial, arrivals, _ = small_stream(num_batches=2, noise=0.5)
     state = initialize(
@@ -635,3 +524,75 @@ def test_step_runs_a_baseline_state():
         assert state.classifier is not clf_before  # retrained on the grown pool
     assert oracle.asked == []
     assert state.label_model is None
+
+
+def test_no_sel_takes_every_instance():
+    initial, arrivals, _ = small_stream(noise=0.5)
+    state = initialize("no_sel", initial, None, BASELINE_SPEC, np.random.default_rng(0))
+    pool_sizes = [len(state.clean_pool)]
+    for batch in arrivals:
+        state, report = frameworks.step(state, batch)
+        pool_sizes.append(len(state.clean_pool))
+        assert report.selected_count == len(batch.instances)
+        assert report.selected_true_clean_count == sum(
+            1 for i in batch.instances if i.is_clean
+        )
+    assert pool_sizes == [len(state.clean_pool) - 12 * i for i in range(len(arrivals), -1, -1)]
+
+
+def test_full_clean_resets_labels_to_truth():
+    initial, arrivals, _ = small_stream(noise=0.5)
+    state = initialize("full_clean", initial, None, BASELINE_SPEC, np.random.default_rng(0))
+    for batch in arrivals:
+        delivered = list(batch.instances)
+        pool_before = len(state.clean_pool)
+        state, report = frameworks.step(state, batch)
+        added = state.clean_pool.instances[pool_before:]
+        assert [i.uid for i in added] == [i.uid for i in delivered]
+        # a clean instance joins as it is, a mislabelled one as a relabelled copy
+        for got, sent in zip(added, delivered):
+            assert got.is_clean
+            assert (got is sent) == sent.is_clean
+        assert batch.instances == delivered  # the arrival itself is left as it came
+        assert report.selected_count == len(batch.instances)
+        assert report.selected_true_clean_count == len(batch.instances)
+        assert not all(i.is_clean for i in delivered)  # sanity: the stream was noisy
+    assert all(i.is_clean for i in state.clean_pool)
+
+
+def test_baselines_coincide_on_a_noise_free_stream():
+    # without noise the three baselines see identical data, so their whole
+    # accuracy traces must match
+    base = {
+        "stream.num_classes": "3",
+        "stream.num_features": "6",
+        "stream.initial_batch_size": "60",
+        "stream.batch_size": "30",
+        "stream.num_batches": "4",
+        "stream.test_size": "80",
+        "noise.mean": "0.0",
+        "noise.std": "0.0",
+        "classifier.kind": "knn",
+    }
+    traces = []
+    for kind in BASELINE_KINDS:
+        mapping = dict(base)
+        mapping["framework.variant"] = kind
+        result = run_single(config_from_mapping(mapping), 0)
+        traces.append((
+            result.initial_accuracy,
+            [r.test_accuracy for r in result.reports],
+            [r.selected_count for r in result.reports],
+        ))
+    first, *others = traces
+    assert others and all(trace == first for trace in others)
+
+
+def test_retrain_skipped_when_nothing_selected():
+    initial, _, _ = small_stream(num_batches=1, noise=0.5)
+    state = initialize("opt_sel", initial, None, BASELINE_SPEC, np.random.default_rng(0))
+    model_before = state.classifier
+    all_dirty = Batch(index=1, instances=[make_inst(100 + i, 1, true=0) for i in range(5)])
+    state, report = frameworks.step(state, all_dirty)
+    assert report.selected_count == 0
+    assert state.classifier is model_before

@@ -289,18 +289,6 @@ def test_experiment_writes_expected_layout(tmp_path):
     assert "final_accuracy=" in text
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    for name in ("one", "two"):
-        mapping = small_mapping(**{"run.output_dir": str(tmp_path / name)})
-        run_experiment(config_from_mapping(mapping))
-    first = (result_dir(tmp_path / "one", "voting", 0.3, 0) / "batches.csv").read_bytes()
-    second = (result_dir(tmp_path / "two", "voting", 0.3, 0) / "batches.csv").read_bytes()
-    assert first == second
-    assert (tmp_path / "one" / "summary.txt").read_bytes() == (
-        tmp_path / "two" / "summary.txt"
-    ).read_bytes()
-
-
 def test_matrix_expands_variants_times_noise_levels():
     mapping = small_mapping(**{
         "matrix.variants": "rad, voting, no_sel",
@@ -388,28 +376,6 @@ def test_matrix_names_the_bad_entry(tmp_path, capsys, overrides, message):
                      *(f"--{key}={value}" for key, value in overrides.items())])
     assert code == 2
     assert message in capsys.readouterr().err
-
-
-def test_matrix_runs_attach_improvements_and_write_comparison(tmp_path):
-    mapping = small_mapping(**{
-        "matrix.variants": "rad, no_sel, full_clean",
-        "matrix.noise_levels": "0.3",
-        "run.output_dir": str(tmp_path / "matrix"),
-        "label_model.kind": "centroid",
-    })
-    outcomes = run_matrix(expand_matrix(mapping))
-    assert len(outcomes) == 3
-    finals = {o.config.variant: o.summary.final_accuracy for o in outcomes}
-    comparison = (tmp_path / "matrix" / "comparison.txt").read_text(encoding="utf-8")
-    header, *rows = comparison.strip().split("\n")
-    assert header.split()[:2] == ["variant", "noise"]
-    assert len(rows) == 3
-    rad = dict(zip(header.split(), rows[0].split()))
-    assert rad["improvement"] == f"{finals['rad'] - finals['no_sel']:.4f}"
-    assert rad["improvement_room"] == f"{finals['full_clean'] - finals['no_sel']:.4f}"
-    assert (tmp_path / "matrix" / "summary.txt").is_file()
-    for variant in ("rad", "no_sel", "full_clean"):
-        assert (result_dir(tmp_path / "matrix", variant, 0.3, 0) / "batches.csv").is_file()
 
 
 def summary_of(variant: str, noise: float, final: float) -> harness.ExperimentOutcome:
@@ -536,6 +502,20 @@ def test_purity_audit_catches_a_leak():
     clean = FrameworkState("no_sel", classifier=None, clean_pool=[other], rng=None,
                            inactive=[[other.relabeled(1)]])
     harness._audit_test_purity(clean, [test])
+
+
+def test_run_single_audits_the_pools_against_the_test_set(monkeypatch):
+    split_stream = harness.split_stream
+
+    def leaky_split(dataset, stream, rng):
+        initial, arrivals, test = split_stream(dataset, stream, rng)
+        initial.instances.extend(test[:1])
+        return initial, arrivals, test
+
+    monkeypatch.setattr(harness, "split_stream", leaky_split)
+    mapping = small_mapping(**{"framework.variant": "no_sel", "initial.clean": "true"})
+    with pytest.raises(RepetitionError, match="stage audit: a test instance leaked"):
+        run_single(config_from_mapping(mapping), 0)
 
 
 # ---------------------------------------------------------------------------

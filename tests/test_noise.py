@@ -99,47 +99,6 @@ def test_flip_count_rounds_half_up():
 # ---------------------------------------------------------------------------
 # injection
 
-def test_exact_flip_count_at_forty_percent():
-    batch = make_batch(10_000, num_classes=5)
-    inject_symmetric_noise(batch, 0.4, 5, np.random.default_rng(7))
-    flipped = sum(1 for inst in batch.instances if not inst.is_clean)
-    assert flipped == 4000
-    assert batch.drawn_noise_level == 0.4
-
-
-def test_flips_never_reproduce_the_true_label():
-    batch = make_batch(2000, num_classes=3)
-    inject_symmetric_noise(batch, 1.0, 3, np.random.default_rng(3))
-    assert all(not inst.is_clean for inst in batch.instances)
-    assert all(0 <= inst.given_label < 3 for inst in batch.instances)
-
-
-def test_true_labels_never_touched():
-    batch = make_batch(500, num_classes=4)
-    before = [inst.true_label for inst in batch.instances]
-    inject_symmetric_noise(batch, 0.8, 4, np.random.default_rng(5))
-    assert [inst.true_label for inst in batch.instances] == before
-
-
-def test_replacement_classes_are_uniform():
-    # all instances share true label 0, so flips land on 1..K-1; chi-square
-    # against the uniform distribution at significance 0.01
-    num_classes = 6
-    rng = np.random.default_rng(1234)
-    instances = [
-        LabeledInstance(features=np.zeros(1), given_label=0, true_label=0, uid=i)
-        for i in range(30_000)
-    ]
-    batch = Batch(index=1, instances=instances)
-    inject_symmetric_noise(batch, 1.0, num_classes, rng)
-    counts = np.bincount(
-        [inst.given_label for inst in batch.instances], minlength=num_classes
-    )
-    assert counts[0] == 0
-    result = stats.chisquare(counts[1:])
-    assert result.pvalue >= 0.01
-
-
 def test_flip_selection_is_uniform_over_instances():
     # each instance should be flipped with probability ~level across seeds
     batch_size, trials, level = 60, 2000, 0.3
@@ -189,3 +148,4 @@ def test_injection_flip_count_property(n, num_classes, level, seed):
     flipped = sum(1 for inst in batch.instances if not inst.is_clean)
     assert flipped == flip_count(level, n)
     assert all(0 <= inst.given_label < num_classes for inst in batch.instances)
+    assert batch.drawn_noise_level == level
