@@ -93,11 +93,12 @@ Dataset = list[LabeledInstance]
 def load_csv(path, num_classes: int) -> Dataset:
     """Read a dataset CSV (header ``f0,...,f{n-1},label``) as clean ground truth.
 
-    Every row becomes an instance with ``true_label = given_label`` and
-    ``is_clean`` true; noise is injected later, downstream. Every format
-    violation (an empty file, a bad header, a wrong column count, a non-numeric
-    or non-finite feature cell, a label that is not an integer in
-    ``0..num_classes-1``) raises :class:`CsvFormatError` naming where it is.
+    Every row becomes an instance with ``true_label = given_label``,
+    ``is_clean`` true and read-only features; noise is injected later,
+    downstream. Every format violation (an empty file, a bad header, a wrong
+    column count, a non-numeric or non-finite feature cell, a label that is
+    not an integer in ``0..num_classes-1``) raises :class:`CsvFormatError`
+    naming where it is.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -128,6 +129,7 @@ def load_csv(path, num_classes: int) -> Dataset:
                 ) from None
             if not np.isfinite(features).all():
                 raise CsvFormatError(f"{path}: line {lineno}: non-finite feature cell")
+            features.flags.writeable = False
             try:
                 label = int(cells[-1])
             except ValueError:
@@ -192,7 +194,8 @@ def generate_synthetic(config: StreamConfig, separation: float = 3.0) -> Dataset
     counts[: total % config.num_classes] += 1
     labels = np.repeat(np.arange(config.num_classes), counts)
     labels = labels[rng.permutation(total)]
-    features = means[labels] + rng.standard_normal((total, config.num_features))
+    features = rng.standard_normal((total, config.num_features))
+    features += means[labels]
     # every instance's features are a row of this one matrix, so it is frozen
     features.flags.writeable = False
 
@@ -240,7 +243,7 @@ def split_stream(
     else:
         order = rng.permutation(len(dataset))
 
-    picked = [dataset[i] for i in order[:required]]
+    picked = [dataset[i] for i in order[:required].tolist()]
     cuts = config.initial_batch_size + config.batch_size * np.arange(config.num_batches + 1)
     initial = Batch(index=0, instances=picked[: cuts[0]])
     arrivals = [

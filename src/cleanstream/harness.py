@@ -278,14 +278,29 @@ def expand_matrix(mapping: dict[str, str]) -> list[ExperimentConfig]:
 # ---------------------------------------------------------------------------
 # running
 
+# While ``run_matrix`` runs, the datasets it has loaded, by what they were built
+# from; None at any other time, so a bare ``run_single`` builds its own. A
+# loaded dataset can be shared because records are frozen and their feature
+# rows are read-only. ``run_single`` keeps its two arguments, so the store is
+# reached here rather than passed down.
+_loaded: dict[tuple, Dataset] | None = None
+
+
 def _load_dataset(config: ExperimentConfig) -> Dataset:
-    if not config.dataset_path:
-        return generate_synthetic(config.stream, separation=config.separation)
-    dataset = load_csv(config.dataset_path, config.stream.num_classes)
+    path = config.dataset_path
+    key = (path, config.stream.num_classes) if path else (config.stream, config.separation)
+    dataset = None if _loaded is None else _loaded.get(key)
+    if dataset is None:
+        if path:
+            dataset = load_csv(path, config.stream.num_classes)
+        else:
+            dataset = generate_synthetic(config.stream, separation=config.separation)
+        if _loaded is not None:
+            _loaded[key] = dataset
     width = config.stream.num_features
     if dataset and len(dataset[0].features) != width:
         raise ConfigError(
-            f"stream.num_features = {width}, but {config.dataset_path} has "
+            f"stream.num_features = {width}, but {path} has "
             f"{len(dataset[0].features)} feature columns"
         )
     return dataset
@@ -325,6 +340,7 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
         initial_accuracy = evaluate_accuracy(state.classifier, stacked_test)
 
         reports = []
+        cumulative_A = cumulative_A_truth = 0.0
         for batch in arrivals:
             batch_index = batch.index
             stage = "noise"
@@ -335,10 +351,11 @@ def run_single(config: ExperimentConfig, repetition: int) -> RunResult:
             stage = "evaluate"
             report.test_accuracy = evaluate_accuracy(state.classifier, stacked_test)
             reports.append(report)
-            report.cumulative_A = active_fraction(reports, config.stream.batch_size)
-            report.cumulative_A_truth = active_truth_fraction(
-                reports, config.stream.batch_size
-            )
+            # running sums: the same additions, in the same order, as summing
+            # every report so far
+            cumulative_A += active_fraction([report], config.stream.batch_size)
+            cumulative_A_truth += active_truth_fraction([report], config.stream.batch_size)
+            report.cumulative_A, report.cumulative_A_truth = cumulative_A, cumulative_A_truth
 
         stage = "audit"
         _audit_test_purity(state, test)
@@ -463,25 +480,32 @@ def run_matrix(configs: list[ExperimentConfig]) -> list[ExperimentOutcome]:
     """Run every repetition of every config; a failed repetition doesn't stop the rest.
 
     Each config's results are aggregated on their own, so a summary never
-    mixes configs. Each failed repetition is recorded as a
-    :class:`RepetitionError` on its config's outcome. When the shared output
-    dir is set and some repetition completed, writes every batches.csv, one
-    summary.txt and one comparison.txt; the last two give each variant's gain
-    over the baselines at its noise level (see :func:`_against_baselines`).
+    mixes configs. Each distinct dataset is built once per call and shared by
+    every cell and repetition that reads it. Each failed repetition is
+    recorded as a :class:`RepetitionError` on its config's outcome. When the
+    shared output dir is set and some repetition completed, writes every
+    batches.csv, one summary.txt and one comparison.txt; the last two give
+    each variant's gain over the baselines at its noise level (see
+    :func:`_against_baselines`).
     """
+    global _loaded
     if not configs:
         raise ValueError("run_matrix needs at least one config")
     outcomes: list[ExperimentOutcome] = []
-    for config in configs:
-        results: list[RunResult] = []
-        errors: list[RepetitionError] = []
-        for repetition in range(config.repetitions):
-            try:
-                results.append(run_single(config, repetition))
-            except RepetitionError as exc:
-                errors.append(exc)
-        summary = aggregate_runs(results) if results else None
-        outcomes.append(ExperimentOutcome(config, results, summary, errors))
+    _loaded = {}
+    try:
+        for config in configs:
+            results: list[RunResult] = []
+            errors: list[RepetitionError] = []
+            for repetition in range(config.repetitions):
+                try:
+                    results.append(run_single(config, repetition))
+                except RepetitionError as exc:
+                    errors.append(exc)
+            summary = aggregate_runs(results) if results else None
+            outcomes.append(ExperimentOutcome(config, results, summary, errors))
+    finally:
+        _loaded = None
 
     output_dir = configs[0].output_dir
     if output_dir and any(o.results for o in outcomes):

@@ -117,13 +117,15 @@ def _squared_distances(
 ) -> np.ndarray:
     """Pairwise squared Euclidean distances, clamped at 0 against float error.
 
-    Evaluated in place as ``(|q|^2 + |p|^2) - 2 q.p``, so only the product and
-    the norm sum are allocated. ``points_sq`` passes precomputed ``|p|^2``.
+    Evaluated in place as ``(|q|^2 + |p|^2) - 2q.p``, so only the doubled
+    queries, the product and the norm sum are allocated. ``points_sq`` passes
+    precomputed ``|p|^2``.
     """
     qq = np.einsum("ij,ij->i", queries, queries)
     pp = np.einsum("ij,ij->i", points, points) if points_sq is None else points_sq
-    cross = queries @ points.T
-    cross *= 2.0
+    # doubling is exact, so 2q.p equals 2(q.p) to the bit while no term under-
+    # or overflows, and costs a pass over the queries instead of the product
+    cross = (2.0 * queries) @ points.T
     d2 = np.add.outer(qq, pp)
     d2 -= cross
     np.maximum(d2, 0.0, out=d2)

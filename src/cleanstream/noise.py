@@ -66,9 +66,11 @@ def inject_symmetric_noise(batch: Batch, level: float, num_classes: int, rng) ->
     flips = flip_count(level, n)
     if flips:
         chosen = rng.choice(n, size=flips, replace=False)
-        for i in chosen.tolist():
+        # one call draws the same values, and leaves the generator in the same
+        # state, as one scalar draw per flip
+        draws = rng.integers(num_classes - 1, size=flips)
+        for i, r in zip(chosen.tolist(), draws.tolist()):
             inst = batch.instances[i]
-            r = int(rng.integers(num_classes - 1))
             batch.instances[i] = inst.relabeled(r + 1 if r >= inst.true_label else r)
     batch.drawn_noise_level = level
     return batch

@@ -33,7 +33,7 @@ from cleanstream.harness import (
     run_single,
     summary_lines,
 )
-from cleanstream.metrics import BatchReport, RunResult, aggregate_runs
+from cleanstream.metrics import BatchReport, RunResult, aggregate_runs, write_reports_csv
 
 
 def small_mapping(**overrides) -> dict[str, str]:
@@ -483,6 +483,103 @@ def test_experiment_returns_errors_when_every_repetition_fails(tmp_path, monkeyp
     assert outcome.results == [] and outcome.summary is None
     assert [e.repetition for e in outcome.errors] == [0, 1]
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one dataset per distinct stream in a run_matrix call
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``harness.<name>`` so that each call's arguments are recorded."""
+    real, calls = getattr(harness, name), []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_matrix_builds_its_dataset_once_and_writes_what_single_runs_write(
+    tmp_path, monkeypatch
+):
+    builds = count_calls(monkeypatch, "generate_synthetic")
+    out = tmp_path / "matrix"
+    configs = expand_matrix(small_mapping(**{
+        "matrix.variants": "voting, slimmed, no_sel, full_clean",
+        "matrix.noise_levels": "0.3, 0.6",
+        "run.repetitions": "2",
+        "run.output_dir": str(out),
+    }))
+    outcomes = run_matrix(configs)
+    assert len(builds) == 1
+    assert [len(o.results) for o in outcomes] == [2] * 8
+    alone = tmp_path / "alone.csv"
+    for config in configs:
+        for repetition in range(2):
+            write_reports_csv(run_single(config, repetition).reports, alone)
+            cell = result_dir(out, config.variant, config.noise.mean_level, repetition)
+            assert (cell / "batches.csv").read_bytes() == alone.read_bytes()
+    assert len(builds) == 1 + 16  # a bare run_single builds its own
+
+
+def test_matrix_builds_one_dataset_per_separation(monkeypatch):
+    builds = count_calls(monkeypatch, "generate_synthetic")
+    base = config_from_mapping(small_mapping(**{"run.repetitions": "2"}))
+    run_matrix([
+        replace(base, variant=variant, separation=separation)
+        for separation in (3.0, 7.5) for variant in ("voting", "no_sel")
+    ])
+    assert [kwargs["separation"] for _, kwargs in builds] == [3.0, 7.5]
+
+
+def test_csv_matrix_loads_once_and_checks_each_width(tmp_path, monkeypatch):
+    from cleanstream.core import generate_synthetic, save_csv
+
+    path = tmp_path / "stream.csv"
+    save_csv(generate_synthetic(config_from_mapping(small_mapping()).stream), path)
+    loads = count_calls(monkeypatch, "load_csv")
+    base = config_from_mapping(small_mapping(**{
+        "dataset.path": str(path), "run.repetitions": "2",
+    }))
+    # a config of another width reads the same file, and its check still fails
+    wide = replace(base, variant="no_sel", stream=replace(base.stream, num_features=20))
+    outcomes = run_matrix([base, wide, replace(base, variant="no_sel")])
+    assert len(loads) == 1
+    assert [len(o.results) for o in outcomes] == [2, 0, 2]
+    assert [e.stage for e in outcomes[1].errors] == ["load-dataset"] * 2
+    assert all("5 feature columns" in str(e) for e in outcomes[1].errors)
+
+
+def test_loaded_csv_rows_are_read_only(tmp_path):
+    from cleanstream.core import generate_synthetic, save_csv
+
+    path = tmp_path / "stream.csv"
+    save_csv(generate_synthetic(config_from_mapping(small_mapping()).stream), path)
+    dataset = load_csv(path, 3)
+    assert not any(inst.features.flags.writeable for inst in dataset)
+    with pytest.raises(ValueError):
+        dataset[0].features[0] = 1.0
+
+
+def test_no_dataset_outlives_its_matrix_call(monkeypatch):
+    builds = count_calls(monkeypatch, "generate_synthetic")
+    config = config_from_mapping(small_mapping())
+    run_matrix([config])
+    run_single(config, 0)
+    real = harness.run_single
+
+    def interrupted(config, repetition):
+        real(config, repetition)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_single", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_matrix([config])
+    monkeypatch.setattr(harness, "run_single", real)
+    run_single(config, 0)
+    run_matrix([config])
+    assert len(builds) == 5
 
 
 def test_purity_audit_catches_a_leak():

@@ -111,6 +111,28 @@ def test_squared_distances_are_bit_identical_to_the_plain_expression(integer):
     assert _squared_distances(q, p, pp).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("integer", [False, True])
+def test_squared_distances_keep_the_doubled_product_at_block_shapes(integer):
+    # the plain-expression test above pins one small shape; the product's
+    # kernel, and so its rounding, changes with the block's height and width
+    rng = np.random.default_rng(29)
+    for rows, cols, width in [(1, 1, 1), (3, 5000, 20), (37, 7000, 20), (142, 1000, 20),
+                              (200, 300, 3), (64, 2048, 64)]:
+        if integer:
+            q = rng.integers(-30, 31, size=(rows, width)).astype(float)
+            p = rng.integers(-30, 31, size=(cols, width)).astype(float)
+        else:
+            q = rng.normal(size=(rows, width)) * 3.0
+            p = rng.normal(size=(cols, width)) * 3.0 + 1.0
+        pp = np.einsum("ij,ij->i", p, p)
+        cross = q @ p.T
+        cross *= 2.0
+        want = np.add.outer(np.einsum("ij,ij->i", q, q), pp)
+        want -= cross
+        np.maximum(want, 0.0, out=want)
+        assert _squared_distances(q, p, pp).tobytes() == want.tobytes(), (rows, cols, width)
+
+
 def test_knn_tie_breaks_on_training_index_then_class():
     # two training points at identical distance from the query; with k=1 the
     # earlier index must win

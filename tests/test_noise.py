@@ -149,3 +149,32 @@ def test_injection_flip_count_property(n, num_classes, level, seed):
     assert flipped == flip_count(level, n)
     assert all(0 <= inst.given_label < num_classes for inst in batch.instances)
     assert batch.drawn_noise_level == level
+
+
+def _per_flip_injection(batch: Batch, level: float, num_classes: int, rng) -> None:
+    # the injector with one scalar draw per flipped label, kept as the reference
+    flips = flip_count(level, len(batch.instances))
+    if flips:
+        chosen = rng.choice(len(batch.instances), size=flips, replace=False)
+        for i in chosen.tolist():
+            inst = batch.instances[i]
+            r = int(rng.integers(num_classes - 1))
+            batch.instances[i] = inst.relabeled(r + 1 if r >= inst.true_label else r)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4, 10])
+def test_injection_draws_like_one_scalar_draw_per_flip(num_classes):
+    # only this test and the benchmark's golden digests pin the draws, so a
+    # numpy whose vector and scalar integer draws differ fails here
+    for level in (0.05, 0.5, 1.0):
+        for size in (1, 7, 300):
+            for seed in range(6):
+                runs = []
+                for inject in (inject_symmetric_noise, _per_flip_injection):
+                    batch, rng = make_batch(size, num_classes, seed), np.random.default_rng(seed)
+                    before = list(batch.instances)
+                    inject(batch, level, num_classes, rng)
+                    replaced = [i for i, inst in enumerate(batch.instances) if inst is not before[i]]
+                    labels = [inst.given_label for inst in batch.instances]
+                    runs.append((replaced, labels, rng.random()))
+                assert runs[0] == runs[1], (level, size, seed)
