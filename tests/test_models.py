@@ -124,12 +124,8 @@ def test_squared_distances_keep_the_doubled_product_at_block_shapes(integer):
         else:
             q = rng.normal(size=(rows, width)) * 3.0
             p = rng.normal(size=(cols, width)) * 3.0 + 1.0
-        pp = np.einsum("ij,ij->i", p, p)
-        cross = q @ p.T
-        cross *= 2.0
-        want = np.add.outer(np.einsum("ij,ij->i", q, q), pp)
-        want -= cross
-        np.maximum(want, 0.0, out=want)
+        qq, pp = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", p, p)
+        want = np.maximum(qq[:, None] + pp[None, :] - 2.0 * (q @ p.T), 0.0)
         assert _squared_distances(q, p, pp).tobytes() == want.tobytes(), (rows, cols, width)
 
 
