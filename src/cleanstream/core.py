@@ -64,7 +64,6 @@ class StreamConfig:
     num_batches: int
     test_size: int
     seed: int = 0
-    stratify: bool = False
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -205,30 +204,14 @@ def generate_synthetic(config: StreamConfig, separation: float = 3.0) -> Dataset
     ]
 
 
-def _stratified_order(dataset: Dataset, rng) -> np.ndarray:
-    # Spread each class evenly over the whole order: the i-th of a class's n
-    # shuffled instances gets the key (i + 1/2) / n, and a stable sort merges
-    # the classes. In any run of consecutive positions, class c's count is
-    # then within 1 + K * share_c of share_c times the run's length, where
-    # share_c is c's share of the dataset and K the number of classes present.
-    labels = np.array([inst.given_label for inst in dataset])
-    keys = np.empty(len(labels))
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        keys[idx[rng.permutation(len(idx))]] = (np.arange(len(idx)) + 0.5) / len(idx)
-    return np.argsort(keys, kind="stable")
-
-
 def split_stream(
     dataset: Dataset, config: StreamConfig, rng
 ) -> tuple[Batch, list[Batch], list[LabeledInstance]]:
     """Partition a dataset into the initial batch, arriving batches, and test set.
 
     The partition is disjoint and random under ``rng``; instances beyond
-    ``config.total_instances`` are left unused. With ``config.stratify`` each
-    split's class counts follow the dataset's class shares (see
-    :func:`_stratified_order`). Test instances must never be noise-injected
-    downstream.
+    ``config.total_instances`` are left unused. Test instances must never be
+    noise-injected downstream.
     """
     required = config.total_instances
     if len(dataset) < required:
@@ -238,11 +221,7 @@ def split_stream(
             f"{config.num_batches} x {config.batch_size} + test {config.test_size}), "
             f"dataset has {len(dataset)}"
         )
-    if config.stratify:
-        order = _stratified_order(dataset, rng)
-    else:
-        order = rng.permutation(len(dataset))
-
+    order = rng.permutation(len(dataset))
     picked = [dataset[i] for i in order[:required].tolist()]
     cuts = config.initial_batch_size + config.batch_size * np.arange(config.num_batches + 1)
     initial = Batch(index=0, instances=picked[: cuts[0]])

@@ -136,7 +136,6 @@ CONFIG_KEYS = {
     "stream.num_batches": (int, 20),
     "stream.test_size": (int, 2000),
     "stream.seed": (int, StreamConfig.seed),
-    "stream.stratify": (_bool, StreamConfig.stratify),
     "noise.mean": (_finite_float, 0.3),
     "noise.std": (_finite_float, NoiseSpec.std_dev),
     "noise.seed": (int, NoiseSpec.seed),

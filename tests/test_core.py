@@ -270,19 +270,6 @@ def test_split_determinism_and_seed_sensitivity():
     assert uids(a[0]) != uids(c[0])
 
 
-def test_stratified_split_order_is_pinned():
-    # six of class 0, three of class 1 and one of class 2; the i-th of a
-    # class's n shuffled instances sorts at (i + 1/2) / n, ties in dataset order
-    labels = [0, 1, 0, 2, 0, 1, 0, 0, 1, 0]
-    dataset = [LabeledInstance(np.zeros(1), c, c, uid=i) for i, c in enumerate(labels)]
-    config = StreamConfig(num_classes=3, num_features=1, initial_batch_size=3, batch_size=2,
-                          num_batches=2, test_size=3, stratify=True)
-    initial, arrivals, test = split_stream(dataset, config, np.random.default_rng(4))
-    assert [i.uid for i in initial.instances] == [2, 1, 4]
-    assert [[i.uid for i in b.instances] for b in arrivals] == [[0, 3], [5, 9]]
-    assert [i.uid for i in test] == [7, 8, 6]
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     initial=st.integers(1, 20),
@@ -291,9 +278,8 @@ def test_stratified_split_order_is_pinned():
     test=st.integers(1, 15),
     surplus=st.integers(0, 10),
     seed=st.integers(0, 1000),
-    stratify=st.booleans(),
 )
-def test_split_partition_property(initial, batch, batches, test, surplus, seed, stratify):
+def test_split_partition_property(initial, batch, batches, test, surplus, seed):
     config = StreamConfig(
         num_classes=3,
         num_features=2,
@@ -302,7 +288,6 @@ def test_split_partition_property(initial, batch, batches, test, surplus, seed, 
         num_batches=batches,
         test_size=test,
         seed=0,
-        stratify=stratify,
     )
     # a dataset with surplus instances, which the split leaves unused
     dataset = generate_synthetic(replace(config, test_size=test + surplus))
@@ -316,38 +301,3 @@ def test_split_partition_property(initial, batch, batches, test, surplus, seed, 
     uids += [i.uid for i in heldout]
     assert len(uids) == len(set(uids)) == config.total_instances
     assert len(heldout) == test
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_stratified_split_balance_bound(data):
-    # uneven class sizes, a dataset that may hold more than the stream takes,
-    # and random split sizes
-    class_sizes = data.draw(st.lists(st.integers(1, 120), min_size=2, max_size=20))
-    k, total = len(class_sizes), sum(class_sizes)
-    batch = data.draw(st.integers(1, max(1, total // 5)))
-    batches = data.draw(st.integers(0, (total - 2) // batch))
-    room = total - batch * batches
-    initial = data.draw(st.integers(1, room - 1))
-    test = data.draw(st.integers(1, room - initial))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    labels = np.repeat(np.arange(k), class_sizes)[rng.permutation(total)]
-    dataset = [
-        LabeledInstance(features=np.zeros(1), given_label=int(c), true_label=int(c), uid=i)
-        for i, c in enumerate(labels)
-    ]
-    config = StreamConfig(
-        num_classes=k,
-        num_features=1,
-        initial_batch_size=initial,
-        batch_size=batch,
-        num_batches=batches,
-        test_size=test,
-        stratify=True,
-    )
-    share = np.array(class_sizes) / total
-    init, arrivals, heldout = split_stream(dataset, config, rng)
-    for group in [init.instances] + [b.instances for b in arrivals] + [heldout]:
-        counts = np.bincount([inst.given_label for inst in group], minlength=k)
-        assert (np.abs(counts - share * len(group)) <= 1 + k * share + 1e-9).all()
-

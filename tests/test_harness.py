@@ -77,14 +77,16 @@ MLP_OPTIONS = {
     [
         ("noise.std_mode", "absolute"),
         ("dataset.scale", "true"),
+        ("stream.stratify", "true"),
         *((f"{role}.{option}", value) for role in ("label_model", "classifier")
           for option, value in MLP_OPTIONS.items()),
     ],
 )
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
-    # the spread is always std * mean, features are used as loaded and the
-    # MLP's hyper-parameters are set from Python; naming a removed key must
-    # fail rather than run without what it asked for
+    # the spread is always std * mean, features are used as loaded, a stream
+    # is split by one permutation and the MLP's hyper-parameters are set from
+    # Python; naming a removed key must fail rather than run without what it
+    # asked for
     with pytest.raises(ConfigError, match=f"unknown config keys: {re.escape(key)}"):
         config_from_mapping(small_mapping(**{key: value}))
     config = write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Model correctness against independent brute-force oracles."""
+"""Model correctness against the plain models of ``tests/reference_run.py``."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_run import Plain, PlainMlp
 
 from cleanstream import models
 from cleanstream.core import LabeledInstance
@@ -35,24 +36,7 @@ def knn_spec(k=5, num_classes=3, **kw) -> ClassifierSpec:
 
 
 # ---------------------------------------------------------------------------
-# k-NN vs an exhaustive oracle
-
-def knn_oracle_neighbours(X, query, k):
-    """Reference neighbours: the first k training indices by (distance, index)."""
-    dists = np.sqrt(((np.asarray(X) - query) ** 2).sum(axis=1)).tolist()
-    return sorted(range(len(dists)), key=lambda i: (dists[i], i))[:k]
-
-
-def knn_oracle(X, y, query, k):
-    """Reference prediction: full sort by (distance, index), then min-count vote."""
-    chosen = [y[i] for i in knn_oracle_neighbours(X, query, k)]
-    best, best_count = None, -1
-    for cls in range(max(y) + 1):
-        count = chosen.count(cls)
-        if count > best_count:
-            best, best_count = cls, count
-    return best
-
+# k-NN vs the reference's exhaustive kNN
 
 @pytest.mark.parametrize(
     "grid, f, labels, num_classes, k",
@@ -69,12 +53,10 @@ def test_knn_batched_prediction_matches_oracle_across_blocks(grid, f, labels, nu
     n = KNN_BLOCK_DISTANCES // 40  # 40 queries fill one distance block
     X = rng.integers(0, grid, size=(n, f)).astype(float)
     y = rng.choice(labels, size=n)
-    k = n if k is None else k
-    model = train(knn_spec(k=k, num_classes=num_classes), wrap(X, y), rng)
+    spec = knn_spec(k=n if k is None else k, num_classes=num_classes)
+    model = train(spec, wrap(X, y), rng)
     queries = rng.integers(0, grid, size=(100, f)).astype(float)  # 3 blocks
-    got = model.predict_many(queries)
-    want = [knn_oracle(X, list(y), q, k) for q in queries]
-    assert got.tolist() == want
+    assert model.predict_many(queries).tolist() == Plain(spec, wrap(X, y)).predict_many(queries)
 
 
 def test_knn_small_blocks_match_oracle(monkeypatch):
@@ -89,9 +71,10 @@ def test_knn_small_blocks_match_oracle(monkeypatch):
         k = int(rng.integers(1, 45))
         X = rng.integers(0, 4, size=(n, f)).astype(float)
         y = rng.integers(0, num_classes, size=n)
-        model = train(knn_spec(k=k, num_classes=num_classes), wrap(X, y), rng)
+        spec = knn_spec(k=k, num_classes=num_classes)
+        model = train(spec, wrap(X, y), rng)
         queries = rng.integers(0, 4, size=(17, f)).astype(float)
-        want = [knn_oracle(X, list(y), q, k) for q in queries]
+        want = Plain(spec, wrap(X, y)).predict_many(queries)
         assert model.predict_many(queries).tolist() == want, f"case {case}: n={n} k={k}"
 
 
@@ -201,56 +184,18 @@ def test_mlp_fit_step_is_loss_and_grads():
         assert param.tobytes() == (old - spec.mlp_learning_rate * grad).tobytes()
 
 
-def reference_forward(model: MlpModel, batch: np.ndarray):
-    """Every layer's input, ``batch`` first, and the softmax probabilities."""
-    activations = [batch]
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        activations.append(np.maximum(activations[-1] @ W + b, 0.0))
-    logits = activations[-1] @ model.weights[-1] + model.biases[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return activations, exps / exps.sum(axis=1, keepdims=True)
-
-
 @pytest.mark.parametrize("hidden", [(1,), (28, 28), (4, 3, 5)])
 def test_mlp_predict_proba_is_bit_identical_to_the_reference_forward(hidden):
-    rng = np.random.default_rng(80 + len(hidden))
-    model = MlpModel(mlp_spec(num_classes=4, mlp_hidden=hidden), num_features=7, rng=rng)
-    X = rng.normal(size=(50, 7)) * 3
-    model.fit(X, rng.integers(0, 4, size=50), rng)
+    # both draw their weights from the same seed; the biases are set to the
+    # same nonzero values by hand
+    spec = mlp_spec(num_classes=4, mlp_hidden=hidden)
+    model = MlpModel(spec, 7, np.random.default_rng(80))
+    plain = PlainMlp(spec, 7, np.random.default_rng(80))
+    rng = np.random.default_rng(81)
+    for b, plain_b in zip(model.biases, plain.biases):
+        b[...] = plain_b[...] = rng.normal(size=b.shape)
     queries = rng.normal(size=(37, 7)) * 3
-    assert model.predict_proba(queries).tobytes() == reference_forward(model, queries)[1].tobytes()
-
-
-def reference_fit(model: MlpModel, X: np.ndarray, y: np.ndarray, rng) -> None:
-    """The per-layer SGD loop ``MlpModel.fit`` replaced, kept as its oracle."""
-    spec = model.spec
-
-    def loss_and_grads(batch, labels):
-        activations, probs = reference_forward(model, batch)
-        n = len(batch)
-        loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        grads_w = [np.empty(0)] * len(model.weights)
-        grads_b = [np.empty(0)] * len(model.biases)
-        for layer in range(len(model.weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer:
-                delta = (delta @ model.weights[layer].T) * (activations[layer] > 0.0)
-        return loss, grads_w, grads_b
-
-    for _ in range(spec.mlp_epochs):
-        order = rng.permutation(len(X))
-        for start in range(0, len(X), spec.mlp_batch_size):
-            idx = order[start : start + spec.mlp_batch_size]
-            _, grads_w, grads_b = loss_and_grads(X[idx], y[idx])
-            for layer in range(len(model.weights)):
-                model.weights[layer] -= spec.mlp_learning_rate * grads_w[layer]
-                model.biases[layer] -= spec.mlp_learning_rate * grads_b[layer]
-    model.trained_on_count += len(y)
+    assert model.predict_proba(queries).tobytes() == plain.forward(queries)[1].tobytes()
 
 
 @pytest.mark.parametrize("hidden", [(1,), (8,), (28, 28), (4, 3, 5)])
@@ -269,16 +214,16 @@ def test_mlp_fit_is_bit_identical_to_the_per_layer_loop(hidden, num_classes, n, 
         mlp_learning_rate=0.05, mlp_batch_size=batch_size,
     )
     fused = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
-    looped = MlpModel(spec, num_features=7, rng=np.random.default_rng(1))
+    looped = PlainMlp(spec, num_features=7, rng=np.random.default_rng(1))
     # later fits with a new rng warm-start from the weights before them; the
     # last one sees fewer rows, so its buffers are sized anew
     fits = [(X, y, 2), (X, y, 3), (X[: n // 2 + 1], y[: n // 2 + 1], 4)]
     for rows, labels, seed in fits:
         fused.fit(rows, labels, np.random.default_rng(seed))
-        reference_fit(looped, rows, labels, np.random.default_rng(seed))
+        looped.fit(rows, labels, np.random.default_rng(seed))
         for a, b in zip(fused.weights + fused.biases, looped.weights + looped.biases):
             assert a.tobytes() == b.tobytes()
-    assert fused.trained_on_count == looped.trained_on_count == 2 * n + n // 2 + 1
+    assert fused.trained_on_count == 2 * n + n // 2 + 1
 
 
 def test_mlp_learns_separated_blobs():
@@ -462,12 +407,13 @@ def test_stacked_test_set_folds_match_oracle_over_random_appends(monkeypatch):
             stop = min(len(X), stop + int(rng.integers(1, 9)))
             pool.append(instances[len(pool) : stop])
             model = train(spec, pool, np.random.default_rng(0))
-            expected = [knn_oracle(X[:stop], y[:stop].tolist(), q, k) for q in queries]
+            plain = Plain(spec, instances[:stop])
+            expected = plain.predict_many(queries)
             assert test.predict(model).tolist() == expected, f"case {case}, {stop} rows"
             assert test.folded == stop
             # the neighbours themselves, so a wrong one with the right label shows
             for row, q in enumerate(queries):
-                neighbours = sorted(knn_oracle_neighbours(X[:stop], q, k))
+                neighbours = sorted(plain.neighbours(q).tolist())
                 assert test._index[row].tolist() == neighbours, f"case {case}, {stop} rows"
                 np.testing.assert_array_equal(
                     test._dist[row], ((X[neighbours] - q) ** 2).sum(axis=1)
@@ -520,9 +466,10 @@ def test_fold_merges_every_row_until_k_are_kept(monkeypatch):
     for stop, kept in ((2, 2), (3, 3), (7, 4), (10, 4), (12, 4)):
         pool.append(wrap(X[len(pool) : stop], y[len(pool) : stop]))
         got = test.predict(train(spec, pool, None))
-        assert got.tolist() == [knn_oracle(X[:stop], y[:stop].tolist(), q, 4) for q in queries]
+        plain = Plain(spec, wrap(X[:stop], y[:stop]))
+        assert got.tolist() == plain.predict_many(queries)
         assert test._index.shape == (6, kept)
-        after = [sorted(knn_oracle_neighbours(X[:stop], q, 4)) for q in queries]
+        after = [sorted(plain.neighbours(q).tolist()) for q in queries]
         assert test._index.tolist() == after
         changed = None if before is None else sum(a != b for a, b in zip(after, before))
         before = after
